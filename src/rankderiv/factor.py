@@ -41,6 +41,21 @@ class AdaptedFactorization:
     case_tag: str  # "case-I" or "case-II"
 
 
+def _keep_columns(m: Matrix, cols) -> Matrix:
+    """``m * Matrix.diag_ones(field, n, cols)``: the other columns zeroed."""
+    z = m.field.zero
+    keep = [j in cols for j in range(m.n)]
+    return Matrix._raw(m.field, [[e if k else z for e, k in zip(row, keep)]
+                                 for row in m.rows])
+
+
+def _keep_rows(m: Matrix, rows) -> Matrix:
+    """``Matrix.diag_ones(field, n, rows) * m``: the other rows zeroed."""
+    zero_row = (m.field.zero,) * m.n
+    return Matrix._raw(m.field, [row if i in rows else zero_row
+                                 for i, row in enumerate(m.rows)])
+
+
 def factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
     """Factor y (rank k) as y1 * y2 with rank(y1) = rank(y2) = s.
 
@@ -56,10 +71,8 @@ def factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
         raise PreconditionError(f"rank {k} exceeds target rank s={s}")
     if k < 2 * s - n:
         raise PreconditionError(f"rank {k} below lower bound 2s-n={2 * s - n}")
-    field = y.field
-    y1 = rnf.P * Matrix.diag_ones(field, n, range(s))
-    y2 = Matrix.diag_ones(
-        field, n, list(range(k)) + list(range(s, 2 * s - k))) * rnf.Q
+    y1 = _keep_columns(rnf.P, range(s))
+    y2 = _keep_rows(rnf.Q, list(range(k)) + list(range(s, 2 * s - k)))
     return RankSFactorization(y1, y2, s)
 
 
@@ -80,10 +93,8 @@ def second_factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
         # the two spare blocks would overlap
         raise PreconditionError(
             f"no disjoint second factorization for n={n}, k={k}, s={s}")
-    field = y.field
-    y1 = rnf.P * Matrix.diag_ones(
-        field, n, list(range(k)) + list(range(n - (s - k), n)))
-    y2 = Matrix.diag_ones(field, n, range(s)) * rnf.Q
+    y1 = _keep_columns(rnf.P, list(range(k)) + list(range(n - (s - k), n)))
+    y2 = _keep_rows(rnf.Q, range(s))
     return RankSFactorization(y1, y2, s)
 
 
@@ -151,8 +162,8 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
             if i not in used:
                 spare.append(i)
             i += 1
-        x1 = P * Matrix.diag_ones(field, n, [0] + spare)
-        x2 = Matrix.diag_ones(field, n, selected) * Q
+        x1 = _keep_columns(P, [0] + spare)
+        x2 = _keep_rows(Q, selected)
         return AdaptedFactorization(x1, x2, "case-I")
     # case-II: row 0 of QR J_s vanishes; kernel rows of G^T complete x2
     g_rows = w_rows[1:]                     # G is (n-1) x s with rank s
@@ -164,7 +175,7 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
     for r, vec in enumerate(h_rows):
         for c, val in enumerate(vec):
             block[1 + r][1 + c] = val
-    x1 = P * Matrix.diag_ones(field, n, [0] + list(range(s, 2 * s - 1)))
+    x1 = _keep_columns(P, [0] + list(range(s, 2 * s - 1)))
     x2 = Matrix._raw(field, block) * Q
     return AdaptedFactorization(x1, x2, "case-II")
 

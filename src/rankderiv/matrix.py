@@ -2,10 +2,20 @@
 
 Matrices are immutable; ``rank()`` and ``rank_normal_form()`` cache their
 result on the instance, so enumeration streams can be shared freely across
-verification loops.  Prime-field matrices route through the selected kernel
-backend; other fields use the generic elimination below with the same
-pivoting rule (first nonzero entry in column order), so outputs do not
-depend on the backend.
+verification loops.
+
+Prime-field matrices are packed when their (p, n) allows it (``_packed``):
+each row is also held as one Python int with entry j in byte j, cached in
+``_fastrep`` on first use.  Over F_2 sums and products are XORs of selected
+rows and the rank and rank normal form use XOR elimination; over an odd p
+byte-wise sums are reduced mod p once per result row.  Packing needs every
+unreduced byte sum to stay below 256.  The largest one is the bracket's,
+n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25, F_5 up to
+n = 7 and F_7 up to n = 3.  Other prime-field matrices, and the odd-p rank
+normal form and nullspace, use the selected kernel backend.  Other fields
+use the generic elimination below.  Every path has the same pivoting rule
+(first nonzero entry in column order), so outputs do not depend on the
+representation or the backend.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
+from . import _packed
 from ._backend import kernels
 from .errors import PreconditionError, UsageError
 from .fields import (
@@ -71,6 +82,17 @@ class Matrix:
         self._rank = None
         self._rnf = None
         self._fastrep = None
+        return self
+
+    @classmethod
+    def _from_packed(cls, field: Field, result) -> "Matrix":
+        """Internal constructor from a packed operation's ``(rows, packed)``."""
+        self = object.__new__(cls)
+        self.field = field
+        self.rows, self._fastrep = result
+        self.n = len(self.rows)
+        self._rank = None
+        self._rnf = None
         return self
 
     @classmethod
@@ -141,9 +163,25 @@ class Matrix:
                 or other.n != self.n):
             self._require_compatible(other)
 
+    def _space(self):
+        """The packed space of this matrix's ring, or None (see ``_packed``)."""
+        f = self.field
+        return _packed.space(f.p, self.n) if isinstance(f, PrimeField) else None
+
+    def _packed_rows(self, sp) -> tuple:
+        """Packed rows in the space ``sp`` of this matrix, cached in ``_fastrep``."""
+        rep = self._fastrep
+        if rep is None:
+            rep = self._fastrep = sp.pack(self.rows)
+        return rep
+
     def __add__(self, other):
         self._check(other)
         f = self.field
+        sp = self._space()
+        if sp is not None:
+            return Matrix._from_packed(f, sp.add(self._packed_rows(sp),
+                                                  other._packed_rows(sp)))
         if isinstance(f, PrimeField):
             return Matrix._raw(f, kernels.mat_add(self.rows, other.rows, f.p))
         return Matrix._raw(f, [
@@ -154,6 +192,10 @@ class Matrix:
     def __sub__(self, other):
         self._check(other)
         f = self.field
+        sp = self._space()
+        if sp is not None:
+            return Matrix._from_packed(f, sp.sub(self._packed_rows(sp),
+                                                  other._packed_rows(sp)))
         if isinstance(f, PrimeField):
             return Matrix._raw(f, kernels.mat_sub(self.rows, other.rows, f.p))
         return Matrix._raw(f, [
@@ -164,6 +206,10 @@ class Matrix:
     def __mul__(self, other):
         self._check(other)
         f = self.field
+        sp = self._space()
+        if sp is not None:
+            self._packed_rows(sp)   # checks the entries ``mul`` reads unpacked
+            return Matrix._from_packed(f, sp.mul(self.rows, other._packed_rows(sp)))
         if isinstance(f, PrimeField):
             return Matrix._raw(f, kernels.mat_mul(self.rows, other.rows, f.p))
         return Matrix._raw(f, _gen_mul(self.rows, other.rows, f))
@@ -184,18 +230,28 @@ class Matrix:
 
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = _rank_rows(self.rows, self.field)
+            sp = self._space()
+            if sp is not None:
+                self._rank = sp.rank(self._packed_rows(sp))
+            else:
+                self._rank = _rank_rows(self.rows, self.field)
         return self._rank
 
     def rank_normal_form(self) -> "RankNormalForm":
         """Invertible P, Q and k with P * J_k * Q equal to this matrix."""
         if self._rnf is None:
             f = self.field
-            if isinstance(f, PrimeField):
-                P, k, Q = kernels.mat_rnf(self.rows, f.p)
+            sp = self._space()
+            if sp is not None and sp.p == 2:
+                P, k, Q = sp.rnf2(self._packed_rows(sp))
+                P, Q = Matrix._from_packed(f, P), Matrix._from_packed(f, Q)
             else:
-                P, k, Q = _gen_rnf(self.rows, f)
-            self._rnf = RankNormalForm(Matrix._raw(f, P), k, Matrix._raw(f, Q))
+                if isinstance(f, PrimeField):
+                    P, k, Q = kernels.mat_rnf(self.rows, f.p)
+                else:
+                    P, k, Q = _gen_rnf(self.rows, f)
+                P, Q = Matrix._raw(f, P), Matrix._raw(f, Q)
+            self._rnf = RankNormalForm(P, k, Q)
             if self._rank is None:
                 self._rank = k
         return self._rnf
@@ -583,6 +639,8 @@ def enumerate_rank_k(n: int, k: int, field: Field):
     """
     if not field.is_finite:
         raise UsageError(f"cannot enumerate matrices over infinite field {field.spec()}")
+    if n < 1:
+        raise PreconditionError(f"matrix dimension must be >= 1, got n={n}")
     if not 0 <= k <= n:
         raise PreconditionError(f"rank {k} out of range for n={n}")
     p = field.p

@@ -75,18 +75,18 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
     domain = []
     for k in range(s + 1):
         domain.extend(enumerate_rank_k(n, k, field))
-    index = {m.encode(): i for i, m in enumerate(domain)}
+    index = {m.rows: i for i, m in enumerate(domain)}
     nn = n * n
     rank_s = [m for m in domain if m.rank() == s]
     rows = []
     provenance = []
     p = field.order
     for x in rank_s:
-        ix = index[x.encode()] * nn
+        ix = index[x.rows] * nn
         for y in rank_s:
-            iy = index[y.encode()] * nn
+            iy = index[y.rows] * nn
             xy = x * y
-            ixy = index[xy.encode()] * nn
+            ixy = index[xy.rows] * nn
             for a in range(n):
                 xa = x.rows[a]
                 for b in range(n):

@@ -119,6 +119,13 @@ def test_enumerate_round_trip(capsys):
     assert all(m.rank() == 2 for m in matrices)
 
 
+def test_enumerate_rejects_empty_dimension(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--field", "F2", "--n", "0",
+                             "--k", "0")
+    assert (code, out) == (2, "")
+    assert "n=0" in err
+
+
 def test_count(capsys):
     code, out, _ = run_cli(capsys, "count", "--field", "F2", "--n", "2", "--k", "1")
     assert (code, out) == (0, "9\n")
