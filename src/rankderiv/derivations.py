@@ -22,10 +22,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import DomainError, PreconditionError, ExtractionError, UsageError
+from .errors import (DomainError, PreconditionError, ExtractionError,
+                     ResourceLimitError, UsageError)
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
 from .fields import Field, FieldDerivation, Rationals, RationalFunctionField
-from .matrix import Matrix, _ipoly_mul, enumerate_rank_k, random_rank_k
+from .matrix import (Matrix, _ipoly_mul, enumerate_rank_k, random_rank_k,
+                     rank_count_formula)
 
 __all__ = [
     "CanonicalDerivation",
@@ -382,8 +384,11 @@ class DeltaMap:
         return self._table is not None
 
     def __call__(self, x: Matrix) -> Matrix:
-        if not isinstance(x, Matrix) or x.field != self.field or x.n != self.n:
-            raise UsageError("delta map argument has the wrong field or size")
+        # identity check first: the common case shares one Field instance
+        if (x.__class__ is not Matrix or x.field is not self.field
+                or x.n != self.n):
+            if not isinstance(x, Matrix) or x.field != self.field or x.n != self.n:
+                raise UsageError("delta map argument has the wrong field or size")
         if not self.domain.contains(x.rank(), self.n):
             raise DomainError(
                 f"matrix of rank {x.rank()} outside delta domain {self.domain.token()}")
@@ -428,8 +433,6 @@ class DeltaMap:
         canonical entry order.  Finite fields only."""
         if not self.field.is_finite:
             raise UsageError("cannot tabulate a map over an infinite field")
-        from .errors import ResourceLimitError
-        from .matrix import rank_count_formula
         total = sum(rank_count_formula(self.n, k, self.field.order)
                     for k in self.domain.ranks(self.n))
         if total > self._WRITE_GUARD:
@@ -517,6 +520,10 @@ def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
 # verification
 # ---------------------------------------------------------------------------
 
+# exhaustive verification refuses to start above this many ordered pairs
+VERIFY_GUARD = 10 ** 6
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     """Result of checking delta(xy) = delta(x) y + x delta(y) over pairs of
@@ -556,7 +563,9 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
     mode instead checks rank <= 1 against rank <= s in both orders (a
     consequence for genuine derivation data, re-verified rather than
     assumed).  Evaluation errors outside the map's domain propagate; they
-    are never swallowed.
+    are never swallowed.  Exhaustive mode counts its pairs with
+    ``rank_count_formula`` first and raises ResourceLimitError, before
+    enumerating anything, when they exceed ``VERIFY_GUARD``.
     """
     n, fld = delta.n, delta.field
     if pairs not in ("rank-s", "mixed"):
@@ -565,6 +574,16 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
     if mode == "exhaustive":
         if not fld.is_finite:
             raise UsageError("exhaustive verification needs a finite field")
+        q = fld.order
+        if pairs == "rank-s":
+            total = rank_count_formula(n, s, q) ** 2
+        else:
+            total = 2 * (sum(rank_count_formula(n, k, q) for k in (0, 1))
+                         * sum(rank_count_formula(n, k, q) for k in range(s + 1)))
+        if total > VERIFY_GUARD:
+            raise ResourceLimitError(
+                f"{total} pairs exceed the {VERIFY_GUARD} exhaustive verification "
+                f"guard; use sampled verification instead")
         if pairs == "rank-s":
             xs = list(enumerate_rank_k(n, s, fld))
             ys = xs

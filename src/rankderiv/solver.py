@@ -6,6 +6,20 @@ pair (x, y) of rank-s matrices contributes the n^2 equations of
 delta(xy) - delta(x) y - x delta(y) = 0.  The exact nullspace of the system
 is the space of all maps satisfying the hypothesis, returned as table-backed
 DeltaMaps for end-to-end cross-checking against extraction.
+
+The nullspace is found by incremental Gauss-Jordan elimination on the
+coefficient dicts, one routine for every prime.  The pivot block is kept
+fully reduced: each pivot row is 1 at its lead (its lowest column) and 0
+at every other pivot's lead.  A new equation is then reduced in one pass,
+subtracting f * pivot[c] for each pivot column c of its own support with
+f read from the equation as given (a reduced pivot never changes another
+pivot column).  A nonzero remainder is normalized at its lowest column,
+that column is eliminated from the pivots that hold it, and it joins the
+block.  Most of the equations are redundant and reduce to zero after
+touching only the few pivots at their own 2n + 1 columns, and no
+back-substitution pass is needed.  The reduced echelon form is unique, so
+the basis (one vector per free column, ascending) does not depend on the
+order of elimination.
 """
 
 from __future__ import annotations
@@ -106,82 +120,45 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
     return ConstraintSystem(n, s, field, domain, index, rows, provenance)
 
 
-def _nullspace_gf2(rows, ncols):
-    pivots = {}
-    for coeffs in rows:
-        mask = 0
-        for c in coeffs:
-            mask |= 1 << c
-        while mask:
-            low = (mask & -mask).bit_length() - 1
-            if low in pivots:
-                mask ^= pivots[low]
-            else:
-                pivots[low] = mask
-                break
-    leads = sorted(pivots)
-    for pos in range(len(leads) - 1, -1, -1):
-        lead = leads[pos]
-        r = pivots[lead]
-        for other in leads[pos + 1:]:
-            if (r >> other) & 1:
-                r ^= pivots[other]
-        pivots[lead] = r
-    pivot_set = set(leads)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        v = [0] * ncols
-        v[free] = 1
-        for lead in leads:
-            if (pivots[lead] >> free) & 1:
-                v[lead] = 1
-        basis.append(v)
-    return basis
+def _subtract(row, f, pivot, p):
+    """row -= f * pivot over F_p, in place, keeping only nonzero entries."""
+    for k, v in pivot.items():
+        nv = (row.get(k, 0) - f * v) % p
+        if nv:
+            row[k] = nv
+        else:
+            del row[k]
 
 
-def _nullspace_gfp(rows, ncols, p):
+def _nullspace(rows, ncols, p):
+    """Right kernel over F_p of ``rows``, coefficient dicts whose values lie
+    in 1..p-1: one vector per free column, ascending, with 1 at its free
+    column (incremental Gauss-Jordan; see the module docstring)."""
     pivots = {}
     for coeffs in rows:
         row = dict(coeffs)
-        while row:
-            low = min(row)
-            if low in pivots:
-                f = row[low]
-                for c, v in pivots[low].items():
-                    nv = (row.get(c, 0) - f * v) % p
-                    if nv:
-                        row[c] = nv
-                    elif c in row:
-                        del row[c]
-            else:
-                inv = pow(row[low], -1, p)
-                pivots[low] = {c: (v * inv) % p for c, v in row.items()}
-                break
-    leads = sorted(pivots)
-    for pos in range(len(leads) - 1, -1, -1):
-        lead = leads[pos]
-        r = pivots[lead]
-        for other in leads[pos + 1:]:
-            f = r.get(other, 0)
+        for c, f in coeffs.items():
+            piv = pivots.get(c)
+            if piv is not None:
+                _subtract(row, f, piv, p)
+        if not row:
+            continue
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        new = {c: (v * inv) % p for c, v in row.items()}
+        for r in pivots.values():
+            f = r.get(lead)
             if f:
-                for c, v in pivots[other].items():
-                    nv = (r.get(c, 0) - f * v) % p
-                    if nv:
-                        r[c] = nv
-                    elif c in r:
-                        del r[c]
-        pivots[lead] = r
-    pivot_set = set(leads)
+                _subtract(r, f, new, p)
+        pivots[lead] = new
     basis = []
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [0] * ncols
         v[free] = 1
-        for lead in leads:
-            coef = pivots[lead].get(free, 0)
+        for lead, r in pivots.items():
+            coef = r.get(free)
             if coef:
                 v[lead] = (-coef) % p
         basis.append(v)
@@ -197,10 +174,7 @@ def solution_space(n: int, s: int, field):
     system = build_constraint_system(n, s, field)
     ncols = system.unknown_count
     p = field.order
-    if p == 2:
-        basis = _nullspace_gf2(system.rows, ncols)
-    else:
-        basis = _nullspace_gfp(system.rows, ncols, p)
+    basis = _nullspace(system.rows, ncols, p)
     if basis:
         from ._backend import kernels
         rref_rows, _ = kernels.mat_rref(basis, p)

@@ -14,6 +14,7 @@ from rankderiv import (
     FieldDerivation,
     Matrix,
     PreconditionError,
+    ResourceLimitError,
     UsageError,
     apply_derivation,
     check_linear_combination,
@@ -22,6 +23,7 @@ from rankderiv import (
     extend_to_low_ranks,
     extract_derivation,
     make_delta,
+    parse_field,
     random_rank_k,
     reconstruct_full,
     verify_hypothesis,
@@ -114,6 +116,17 @@ def test_delta_domain_enforcement(F2):
         delta(Matrix.zero(F2, 2))
     with pytest.raises(DomainError):
         delta(Matrix.identity(F2, 2))
+
+
+def test_delta_map_argument_field_check(F2, F3):
+    delta = make_delta(CanonicalDerivation.random(F2, 2, seed=1))
+    other_f2 = parse_field("F2")
+    assert other_f2 is not F2 and other_f2 == F2
+    x = Matrix.unit(other_f2, 2, 0, 1)
+    assert delta(x) == delta(Matrix.unit(F2, 2, 0, 1))
+    for bad in (Matrix.unit(F3, 2, 0, 1), Matrix.unit(F2, 3, 0, 1), ((0, 1), (0, 0))):
+        with pytest.raises(UsageError, match="wrong field or size"):
+            delta(bad)
 
 
 def test_delta_table_missing_entry(F2):
@@ -215,6 +228,21 @@ def test_verify_domain_errors_propagate(F2):
     # products of rank-1 pairs reach rank 0, outside the declared domain
     with pytest.raises(DomainError):
         verify_hypothesis(delta, 1)
+
+
+@pytest.mark.parametrize("pairs", ["rank-s", "mixed"])
+def test_verify_exhaustive_guard_refuses_before_enumerating(F3, monkeypatch, pairs):
+    """F_3, n = 4, s = 2 has 811,200 rank-2 matrices, 6.6e11 ordered pairs;
+    the count comes from the formula, so nothing is enumerated or evaluated."""
+    import rankderiv.derivations as derivations
+
+    def never(*args):
+        raise AssertionError("enumerated or evaluated before the guard")
+
+    monkeypatch.setattr(derivations, "enumerate_rank_k", never)
+    delta = DeltaMap.from_function(4, F3, DeltaDomain.full(), never)
+    with pytest.raises(ResourceLimitError, match="exhaustive verification guard"):
+        verify_hypothesis(delta, 2, pairs=pairs)
 
 
 def test_check_linear_combination(F3):

@@ -1,6 +1,9 @@
 """Constraint-system oracle: counts, solution space dimensions, and
 end-to-end agreement with extraction."""
 
+import hashlib
+import random
+
 import pytest
 
 from rankderiv import (
@@ -16,6 +19,8 @@ from rankderiv import (
     solution_space,
     verify_hypothesis,
 )
+from rankderiv import _kernels_py
+from rankderiv.solver import _nullspace
 
 from conftest import ref_rank_mod
 
@@ -74,6 +79,7 @@ def _inner_derivation_span_dim(n, field):
     ("F2", 2, 3),
     ("F3", 2, 3),
     ("F2", 3, 8),
+    ("F5", 2, 3),
 ])
 def test_solution_dimension(spec, n, expected):
     from rankderiv import parse_field
@@ -95,6 +101,74 @@ def test_basis_elements_satisfy_hypothesis_and_extract(F2, F3):
             for k in (0, 1):
                 for x in enumerate_rank_k(2, k, field):
                     assert apply_derivation(d, x) == delta(x)
+
+
+# sha256 of the concatenated to_text() of the solution_space(n, 1) basis;
+# any change to the elimination must leave these bytes as they are
+@pytest.mark.parametrize("spec,n,digest", [
+    ("F2", 3, "edeaa2074379e1ccfd00fc73f5787feaec2ce7772b0d3c2c87952024125e631d"),
+    ("F5", 2, "240dea4ec4db82af03066f70e5f1757711269a6b9ab4e13a30ad40a0f3c5d6e1"),
+])
+def test_solution_basis_bytes_pinned(spec, n, digest):
+    from rankderiv import parse_field
+    _, basis = solution_space(n, 1, parse_field(spec))
+    text = "".join(b.to_text() for b in basis)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _random_sparse_system(rng, p, nrows, ncols, density):
+    rows = []
+    for _ in range(nrows):
+        rows.append({c: rng.randrange(1, p) for c in range(ncols)
+                     if rng.random() < density})
+    return rows
+
+
+def _nullspace_cases(p):
+    """(rows, ncols) systems covering the shapes the incremental elimination
+    must get right, seeded per prime."""
+    rng = random.Random(f"nullspace|{p}")
+    cases = [
+        ([{}], 5),                                   # rank 0: one empty row
+        ([{}, {}, {}], 3),                           # rank 0: only empty rows
+        ([{c: 1} for c in range(6)], 6),             # full column rank, identity
+    ]
+    for _ in range(12):
+        ncols = rng.randint(1, 14)
+        nrows = rng.randint(1, 3 * ncols)            # often more rows than columns
+        rows = _random_sparse_system(rng, p, nrows, ncols, rng.choice((0.1, 0.3, 0.6)))
+        # duplicates, multiples and sums of earlier rows all reduce to zero
+        for _ in range(rng.randint(0, 4)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            f, g = rng.randrange(p), rng.randrange(p)
+            combo = {c: (f * a.get(c, 0) + g * b.get(c, 0)) % p for c in set(a) | set(b)}
+            rows.insert(rng.randrange(len(rows) + 1), {c: v for c, v in combo.items() if v})
+            rows.insert(rng.randrange(len(rows) + 1), dict(a))
+        rows.insert(rng.randrange(len(rows) + 1), {})
+        cases.append((rows, ncols))
+    # dense random systems with more rows than columns, mostly of full rank
+    for ncols in (4, 9):
+        rows = _random_sparse_system(rng, p, 4 * ncols, ncols, 0.9)
+        cases.append((rows, ncols))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nullspace_matches_dense_kernel(p):
+    """The sparse incremental elimination returns exactly the dense
+    reduced-echelon kernel, and every vector annihilates every row."""
+    shapes = set()
+    for rows, ncols in _nullspace_cases(p):
+        basis = _nullspace(rows, ncols, p)
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        assert basis == _kernels_py.mat_nullspace(dense, p)
+        for v in basis:
+            for row in rows:
+                assert sum(val * v[c] for c, val in row.items()) % p == 0
+        assert len(basis) == ncols - ref_rank_mod(dense, p)
+        shapes.add("rank0" if len(basis) == ncols else
+                   "full" if not basis else "mixed")
+    assert shapes == {"rank0", "full", "mixed"}
 
 
 def test_solution_space_deterministic(F2):
@@ -124,6 +198,16 @@ def test_solution_dimension_4_2_f2_stretch(F2):
             vec.extend(e for row in out.rows for e in row)
         vectors.append(vec)
     assert ref_rank_mod(vectors, 2) == 15  # n^2 - 1 lower bound attained
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec,n", [("F7", 2), ("F2", 4)])
+def test_solution_dimension_stretch(spec, n):
+    """Systems too slow for tier-1 (810,000 equations over F_2 at n = 4):
+    the solution space at s = 1 is exactly the n^2 - 1 inner derivations."""
+    from rankderiv import parse_field
+    dim, basis = solution_space(n, 1, parse_field(spec))
+    assert dim == len(basis) == n * n - 1
 
 
 # -- rank counts -------------------------------------------------------------------
