@@ -7,6 +7,12 @@ matrix-to-matrix assignment with a declared domain (full ring, rank <= s,
 rank exactly s, or the sparse cover-rank union); evaluating outside the
 domain raises DomainError.
 
+``apply_derivation`` computes the bracket on packed rows over small prime
+fields (``_packed``).  Over Q and Q(t), when every entry of A, x and the
+d/dt scale is a polynomial, it computes [A, x] + c dx/dt on integers at
+t = 2^B (``_kronecker``).  Every other input takes generic ``Matrix``
+arithmetic.
+
 ``extract_derivation`` recovers the canonical pair from a map that obeys
 the product rule on pairs of rank-s matrices: it reads the images of the
 unit matrices, checks the structural identities any genuine such map must
@@ -19,15 +25,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
+from . import _kronecker
 from .errors import (DomainError, PreconditionError, ExtractionError,
                      ResourceLimitError, UsageError)
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
-from .fields import Field, FieldDerivation, Rationals, RationalFunctionField
-from .matrix import (Matrix, _ipoly_mul, enumerate_rank_k, random_rank_k,
-                     rank_count_formula)
+from .fields import Field, FieldDerivation, RationalFunctionField
+from .matrix import Matrix, enumerate_rank_k, random_rank_k, rank_count_formula
 
 __all__ = [
     "CanonicalDerivation",
@@ -126,14 +130,12 @@ def apply_derivation(D: CanonicalDerivation, x: Matrix) -> Matrix:
     a = D.A
     a._check(x)
     f = a.field
-    if isinstance(f, RationalFunctionField) and isinstance(f.base, Rationals):
-        fast = _rf_apply_fast(D, x)
-        if fast is not None:
-            return fast
-    elif isinstance(f, Rationals) and D.mu.is_zero():
-        return _q_apply_fast(D, x)
-    out = _bracket(a, x)
     mu = D.mu
+    if mu.kind == "dt" and _kronecker.handles(f):
+        rows = _kronecker.apply(a, x, mu.scale)
+        if rows is not None:
+            return Matrix._raw(f, rows)
+    out = _bracket(a, x)
     if not mu.is_zero():
         out = out + Matrix._raw(f, [[mu(e) for e in row] for row in x.rows])
     return out
@@ -141,145 +143,18 @@ def apply_derivation(D: CanonicalDerivation, x: Matrix) -> Matrix:
 
 def _bracket(a: Matrix, x: Matrix) -> Matrix:
     """A x - x A; over a packed prime field in one pass, with one reduction
-    per output row and no intermediate matrix."""
+    per output row and no intermediate matrix, and over Q and Q(t) on
+    integers at t = 2^B when every entry is a polynomial (``_kronecker``)."""
+    f = a.field
     sp = a._space()
     if sp is not None:
         return Matrix._from_packed(
-            a.field, sp.bracket(a.rows, a._packed_rows(sp), x.rows, x._packed_rows(sp)))
+            f, sp.bracket(a.rows, a._packed_rows(sp), x.rows, x._packed_rows(sp)))
+    if _kronecker.handles(f):
+        rows = _kronecker.apply(a, x)
+        if rows is not None:
+            return Matrix._raw(f, rows)
     return a * x - x * a
-
-
-def _q_int_rep(m: Matrix):
-    # a matrix only ever flows through the fast path of its own field, so
-    # the _fastrep slot cannot collide with the Q(t) representation
-    rep = m._fastrep
-    if rep is None:
-        den = 1
-        for row in m.rows:
-            for c in row:
-                den = lcm(den, c.denominator)
-        rep = ([[int(c * den) for c in row] for row in m.rows], den)
-        m._fastrep = rep
-    return rep
-
-
-def _q_apply_fast(D: CanonicalDerivation, x: Matrix) -> Matrix:
-    """[A, x] over Q via a single integer-cleared bracket."""
-    a_rows, da = _q_int_rep(D.A)
-    x_rows, dx = _q_int_rep(x)
-    n = x.n
-    den = da * dx
-    rng = range(n)
-    out = []
-    for i in rng:
-        ai = a_rows[i]
-        xi = x_rows[i]
-        out_row = []
-        for j in rng:
-            acc = 0
-            for k in rng:
-                acc += ai[k] * x_rows[k][j] - xi[k] * a_rows[k][j]
-            out_row.append(Fraction(acc, den))
-        out.append(out_row)
-    return Matrix._raw(D.field, out)
-
-
-# -- integer-cleared fast path over Q(t) ---------------------------------------
-#
-# When every entry of A and x is a plain polynomial (denominator 1) with
-# rational coefficients, the bracket [A, x] + mu(x) can be computed with
-# integer-coefficient convolutions, deferring all Fraction construction to
-# one reduction per output coefficient.  Falls back to the generic path
-# (returns None) whenever the shapes do not qualify.
-
-def _rf_int_rep(m: Matrix, field):
-    rep = m._fastrep
-    if rep is None:
-        one_poly = field._one_poly
-        rep = []
-        for row in m.rows:
-            out_row = []
-            for num, den in row:
-                if den != one_poly:
-                    rep = False
-                    break
-                d = 1
-                for c in num:
-                    d = lcm(d, c.denominator)
-                out_row.append((tuple(int(c * d) for c in num), d))
-            if rep is False:
-                break
-            rep.append(out_row)
-        m._fastrep = rep
-    return rep
-
-
-def _rf_apply_fast(D: CanonicalDerivation, x: Matrix):
-    field = D.field
-    mu = D.mu
-    if mu.kind == "zero":
-        scale_rep = None
-    elif mu.kind == "dt":
-        sc_num, sc_den = mu.scale
-        if sc_den != field._one_poly:
-            return None
-        d = 1
-        for c in sc_num:
-            d = lcm(d, c.denominator)
-        scale_rep = (tuple(int(c * d) for c in sc_num), d)
-    else:
-        return None
-    a_rep = _rf_int_rep(D.A, field)
-    if a_rep is False:
-        return None
-    x_rep = _rf_int_rep(x, field)
-    if x_rep is False:
-        return None
-    n = x.n
-    one_poly = field._one_poly
-    zero = field.zero
-    out = []
-    for i in range(n):
-        out_row = []
-        for j in range(n):
-            terms = []
-            for k in range(n):
-                pa, da = a_rep[i][k]
-                px, dx = x_rep[k][j]
-                if pa and px:
-                    terms.append((_ipoly_mul(pa, px), da * dx))
-            for k in range(n):
-                px, dx = x_rep[i][k]
-                pa, da = a_rep[k][j]
-                if pa and px:
-                    prod = _ipoly_mul(px, pa)
-                    terms.append((tuple(-c for c in prod), dx * da))
-            if scale_rep is not None:
-                px, dx = x_rep[i][j]
-                if len(px) > 1:
-                    dpoly = tuple(px[e] * e for e in range(1, len(px)))
-                    prod = _ipoly_mul(dpoly, scale_rep[0])
-                    if prod:
-                        terms.append((prod, dx * scale_rep[1]))
-            if not terms:
-                out_row.append(zero)
-                continue
-            denom = 1
-            for _, dd in terms:
-                denom = lcm(denom, dd)
-            acc = [0] * max(len(p) for p, _ in terms)
-            for p, dd in terms:
-                mult = denom // dd
-                for e, c in enumerate(p):
-                    acc[e] += c * mult
-            while acc and acc[-1] == 0:
-                acc.pop()
-            if not acc:
-                out_row.append(zero)
-            else:
-                out_row.append((tuple(Fraction(c, denom) for c in acc), one_poly))
-        out.append(out_row)
-    return Matrix._raw(field, out)
 
 
 @dataclass(frozen=True)
@@ -389,7 +264,8 @@ class DeltaMap:
                 or x.n != self.n):
             if not isinstance(x, Matrix) or x.field != self.field or x.n != self.n:
                 raise UsageError("delta map argument has the wrong field or size")
-        if not self.domain.contains(x.rank(), self.n):
+        # a full domain contains every rank, so it computes none
+        if self.domain.kind != "full" and not self.domain.contains(x.rank(), self.n):
             raise DomainError(
                 f"matrix of rank {x.rank()} outside delta domain {self.domain.token()}")
         if self._table is not None:
@@ -702,11 +578,19 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
     rule on rank-s pairs; needs the map only on matrices of rank <= 1.
 
     Raises ExtractionError naming the first structural identity that fails
-    (which certifies the input is not such a map).
+    (which certifies the input is not such a map).  Over a function field
+    every mu is c d/dt, which vanishes wherever d/dt does, so ``probes`` must
+    hold an element with a nonzero derivative (t will do); PreconditionError
+    is raised otherwise.
     """
     n, fld = delta.n, delta.field
     if not (n >= 2 and 1 <= s and 2 * s <= n):
         raise PreconditionError(f"need n >= 2 and 1 <= s <= n/2, got n={n}, s={s}")
+    if isinstance(fld, RationalFunctionField) and all(
+            fld.derivative(fld.canonical(p)) == fld.zero for p in probes):
+        raise PreconditionError(
+            f"no probe has a nonzero derivative, so mu over {fld.spec()} is "
+            f"undetermined; probe an element such as t")
     units = [[Matrix.unit(fld, n, i, j) for j in range(n)] for i in range(n)]
     zero_m = Matrix.zero(fld, n)
 
@@ -769,14 +653,9 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
         if all(v == fld.zero for v in vals.values()):
             mu = FieldDerivation.zero(fld)
         elif isinstance(fld, RationalFunctionField):
-            scale = None
-            for probe, v in vals.items():
-                dp = fld.derivative(probe)
-                if dp != fld.zero:
-                    scale = fld.div(v, dp)
-                    break
-            if scale is not None and all(
-                    v == fld.mul(scale, fld.derivative(p)) for p, v in vals.items()):
+            probe = next(p for p in vals if fld.derivative(p) != fld.zero)
+            scale = fld.div(vals[probe], fld.derivative(probe))
+            if all(v == fld.mul(scale, fld.derivative(p)) for p, v in vals.items()):
                 mu = FieldDerivation.scaled_dt(fld, scale)
             else:
                 mu = FieldDerivation.from_probes(fld, vals)

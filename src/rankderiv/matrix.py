@@ -12,9 +12,16 @@ byte-wise sums are reduced mod p once per result row.  Packing needs every
 unreduced byte sum to stay below 256.  The largest one is the bracket's,
 n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25, F_5 up to
 n = 7 and F_7 up to n = 3.  Other prime-field matrices, and the odd-p rank
-normal form and nullspace, use the selected kernel backend.  Other fields
-use the generic elimination below.  Every path has the same pivoting rule
-(first nonzero entry in column order), so outputs do not depend on the
+normal form and nullspace, use the selected kernel backend.
+
+Over Q and Q(t) the rank is the integer rank of the matrix cleared to
+integer polynomials and evaluated at t = 2^B (``_kronecker``); a matrix
+with polynomial entries caches its cleared form in ``_fastrep``, which
+``apply_derivation`` reuses.  A matrix only ever meets the fast paths of
+its own field, so the slot holds one kind of value per field.  Other
+fields, and the rank normal form and nullspace over Q and Q(t), use the
+generic elimination below.  Every path has the same pivoting rule (first
+nonzero entry in column order), so outputs do not depend on the
 representation or the backend.
 """
 
@@ -24,20 +31,11 @@ import itertools
 import random
 import re
 from dataclasses import dataclass
-from math import gcd
 
-from . import _packed
+from . import _kronecker, _packed
 from ._backend import kernels
 from .errors import PreconditionError, UsageError
-from .fields import (
-    Field,
-    PrimeField,
-    Rationals,
-    RationalFunctionField,
-    _poly_divmod,
-    _poly_gcd_monic,
-    _poly_mul,
-)
+from .fields import Field, PrimeField
 
 __all__ = [
     "Matrix",
@@ -233,6 +231,8 @@ class Matrix:
             sp = self._space()
             if sp is not None:
                 self._rank = sp.rank(self._packed_rows(sp))
+            elif _kronecker.handles(self.field):
+                self._rank = _kronecker.rank(self.field, self.rows, _kronecker.rep(self))
             else:
                 self._rank = _rank_rows(self.rows, self.field)
         return self._rank
@@ -495,113 +495,11 @@ def _gen_rnf(rows, field):
     return P, r, Q
 
 
-# ---------------------------------------------------------------------------
-# fast exact rank over Q(t): clear denominators, then division-free
-# elimination on integer-coefficient polynomials
-# ---------------------------------------------------------------------------
-
-def _ipoly_mul(f, g):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _ipoly_combine(piv, x, f, y):
-    """piv*x - f*y for integer polynomials."""
-    a = _ipoly_mul(piv, x)
-    b = _ipoly_mul(f, y)
-    if len(a) < len(b):
-        a, b = list(b), a
-        sign = -1
-    else:
-        a, b = list(a), b
-        sign = 1
-    for i, c in enumerate(b):
-        a[i] -= c
-    while a and a[-1] == 0:
-        a.pop()
-    if sign < 0:
-        return tuple(-c for c in a)
-    return tuple(a)
-
-
-def _row_content(row):
-    g = 0
-    for poly in row:
-        for c in poly:
-            g = gcd(g, c)
-            if g == 1:
-                return 1
-    return g or 1
-
-
-def _rank_ratfunc_q(rows, field):
-    """Rank of a matrix over Q(t) via integer-polynomial elimination."""
-    base = field.base
-    one_poly = (base.one,)
-    int_rows = []
-    for row in rows:
-        denlcm = one_poly
-        for _, den in row:
-            if den != one_poly:
-                g = _poly_gcd_monic(base, denlcm, den)
-                denlcm = _poly_mul(base, denlcm, _poly_divmod(base, den, g)[0])
-        polys = []
-        for num, den in row:
-            if den == denlcm:
-                polys.append(num)
-            else:
-                polys.append(_poly_mul(base, num, _poly_divmod(base, denlcm, den)[0]))
-        denom = 1
-        for poly in polys:
-            for c in poly:
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-        int_rows.append([
-            tuple(int(c * denom) for c in poly) for poly in polys
-        ])
-    nr = len(int_rows)
-    nc = len(int_rows[0]) if nr else 0
-    rank = 0
-    for col in range(nc):
-        piv = -1
-        for i in range(rank, nr):
-            if int_rows[i][col]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        int_rows[rank], int_rows[piv] = int_rows[piv], int_rows[rank]
-        rp = int_rows[rank]
-        pv = rp[col]
-        for i in range(rank + 1, nr):
-            ri = int_rows[i]
-            if ri[col]:
-                f = ri[col]
-                new = [()] * col + [
-                    _ipoly_combine(pv, ri[j], f, rp[j]) for j in range(col, nc)
-                ]
-                cont = _row_content(new)
-                if cont > 1:
-                    new = [tuple(c // cont for c in poly) for poly in new]
-                int_rows[i] = new
-        rank += 1
-        if rank == nr:
-            break
-    return rank
-
-
 def _rank_rows(rows, field):
     if isinstance(field, PrimeField):
         return kernels.mat_rank(rows, field.p)
-    if isinstance(field, RationalFunctionField) and isinstance(field.base, Rationals):
-        return _rank_ratfunc_q(rows, field)
+    if _kronecker.handles(field):
+        return _kronecker.rank(field, rows)
     return _gen_rank(rows, field)
 
 

@@ -186,6 +186,22 @@ def test_extract(capsys, tmp_path):
     assert out.splitlines() == ["A=0,1;0,0", "mu=zero"]
 
 
+def test_extract_function_field_needs_a_probe(capsys, tmp_path):
+    # the table of A = 0, mu = 3 d/dt on rank <= 1 matrices the extraction
+    # reads; with no probe of nonzero derivative mu is undetermined
+    path = tmp_path / "dt3.delta"
+    path.write_text("delta n 2 field Q(t) domain rank-leq(1)\n"
+                    "1 0 0 0 -> 0 0 0 0\n"
+                    "0 1 0 0 -> 0 0 0 0\n"
+                    "0 0 1 0 -> 0 0 0 0\n"
+                    "0 0 0 1 -> 0 0 0 0\n"
+                    "t 0 0 0 -> 3 0 0 0\n")
+    code, out, err = run_cli(capsys, "extract", "--delta", str(path), "--s", "1")
+    assert code == 2
+    assert out == ""
+    assert "no probe has a nonzero derivative" in err
+
+
 def test_extend(capsys, tmp_path):
     d = CanonicalDerivation(Matrix.unit(F2, 2, 0, 1))
     src = tmp_path / "exact.delta"

@@ -118,6 +118,19 @@ def test_delta_domain_enforcement(F2):
         delta(Matrix.identity(F2, 2))
 
 
+def test_full_domain_computes_no_rank(F3, Qt):
+    for field in (F3, Qt):
+        d = CanonicalDerivation.random(field, 3, seed=4)
+        x = random_rank_k(3, 2, field, seed=5)
+        table = DeltaMap.from_table(3, field, DeltaDomain.full(),
+                                    {x: apply_derivation(d, x)})
+        for delta in (derivation_delta(d), table):
+            assert delta(x) == apply_derivation(d, x)
+            assert x._rank is None
+        assert derivation_delta(d, DeltaDomain.rank_leq(2))(x) == apply_derivation(d, x)
+        assert x._rank == 2
+
+
 def test_delta_map_argument_field_check(F2, F3):
     delta = make_delta(CanonicalDerivation.random(F2, 2, seed=1))
     other_f2 = parse_field("F2")
@@ -435,6 +448,25 @@ def test_extract_mu_probe_table_when_unfittable(Qt):
     assert got.mu(t) == Qt.one
     with pytest.raises(DomainError):
         got.mu(Qt.add(t, Qt.one))
+
+
+def test_extract_function_field_needs_a_probe_with_a_derivative(Q, Qt):
+    d = CanonicalDerivation(Matrix.zero(Qt, 2),
+                            FieldDerivation.scaled_dt(Qt, Qt.from_int(3)))
+    delta = derivation_delta(d)
+    for probes in ((), [Qt.one]):
+        with pytest.raises(PreconditionError, match="nonzero derivative"):
+            extract_derivation(delta, 1, probes=probes)
+    assert extract_derivation(delta, 1, probes=[Qt.one, Qt.gen]).mu == d.mu
+    # t^3 has a zero derivative over F3(t)
+    F3t = parse_field("F3(t)")
+    t = F3t.gen
+    d = CanonicalDerivation(Matrix.zero(F3t, 2), FieldDerivation.scaled_dt(F3t, F3t.one))
+    with pytest.raises(PreconditionError, match="nonzero derivative"):
+        extract_derivation(derivation_delta(d), 1, probes=[F3t.mul(t, F3t.mul(t, t))])
+    # over Q the only derivation is zero, so no probe is needed
+    q = CanonicalDerivation(Matrix.unit(Q, 2, 0, 1))
+    assert extract_derivation(derivation_delta(q), 1).mu.is_zero()
 
 
 def test_extract_preconditions(F2):
