@@ -21,14 +21,16 @@ and the packed rows, or None where they are left to be packed on demand.
 Decoded rows are interned per (p, n) when there are at most
 ``INTERN_ROWS`` distinct rows, so equal rows share one tuple and the
 interned table also packs rows by lookup.  Rank normal forms are packed
-over F_2 only.
+over F_2 only; they return P and Q with their packed rows, and the factors
+built from them (``factor.py``) zero columns with a byte mask and rows with
+a 0, in every packed space, so no factor is packed twice.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache, reduce
-from operator import mul, xor
+from operator import mul, or_, xor
 
 from .errors import UsageError
 
@@ -82,7 +84,24 @@ class Space:
             return tuple([int.from_bytes(bytes(r), "little") for r in rows])
         raise UsageError(f"matrix entries are not canonical residues mod {self.p}")
 
+    def slots(self, indices) -> int:
+        """The mask of the slots at ``indices``: AND-ing a packed row with it
+        zeroes every other entry."""
+        mask = 0
+        for j in indices:
+            mask |= SLOT << (8 * j)
+        return mask
+
     # -- decoding -------------------------------------------------------------
+
+    def decode(self, packed):
+        """``(rows, packed)`` of packed rows of canonical residues."""
+        if self.p == 2:
+            return self._bits(packed), packed
+        n, intern = self.n, self.intern
+        raw = [r.to_bytes(n, "little") for r in packed]
+        return (tuple(map(intern.__getitem__, raw)) if intern is not None
+                else tuple(map(tuple, raw))), packed
 
     def _bits(self, packed):
         """Rows of F_2 packed rows."""
@@ -169,57 +188,87 @@ class Space:
                 basis.append((shift, r))
         return len(basis)
 
+    def nullspace2(self, packed) -> list:
+        """``mat_nullspace`` over F_2 of the rows ``packed``, any number of
+        them: one kernel vector per free column, ascending, packed."""
+        # the reduced row echelon form is unique, so any Gauss-Jordan order
+        # gives the basis of the list kernels.  A new pivot row is reduced
+        # by the older ones and then cleared from them; an older row that
+        # holds its pivot bit has its own pivot further left, so every
+        # pivot stays the lowest set bit of its row
+        pivots = []   # (pivot bit, fully reduced row)
+        for r in packed:
+            for low, b in pivots:
+                if r & low:
+                    r ^= b
+            if r:
+                low = r & -r
+                pivots = [(pl, b ^ r if b & low else b) for pl, b in pivots]
+                pivots.append((low, r))
+        pivot_bits = sum(low for low, _ in pivots)
+        basis = []
+        for free in range(self.n):
+            bit = 1 << (8 * free)
+            if not pivot_bits & bit:
+                basis.append(bit | sum(low for low, b in pivots if b & bit))
+        return basis
+
     def rnf2(self, packed):
         """Rank normal form over F_2: ``(P, k, Q)`` with P and Q as
         ``(rows, packed)``, equal to ``mat_rnf`` of the list kernels.
 
-        Same pivot rule (first nonzero entry in column order, then row
-        order); P is kept by columns and Q by rows, so every row or column
-        operation of the elimination is one XOR or swap.
+        Same pivot rule: at step r the pivot column is the first one that
+        is nonzero in a row at or below r (the lowest set bit of their OR),
+        and the pivot row the first such row.  ``mat_rnf`` swaps the pivot
+        into place (r, r) and clears its column and the pivot row.  Here no
+        column moves, and only the rows below that hold the pivot bit are
+        XOR-ed with the pivot row: rows at and below r are zero left of the
+        pivot column, so the rows left over match ``mat_rnf``'s, and so do
+        the later pivots, which lie further right.  The transforms follow:
+
+        * Q row r is the pivot row as it stands at step r.  ``mat_rnf``
+          makes it the sum of the Q rows at the pivot row's entries, which
+          all lie right of every earlier pivot column, where no swap has
+          yet moved a unit row of Q.  Q rows from k on are the unit rows
+          left by the swaps.
+        * Column r of P has a 1 in the pivot row's original row and in
+          every row XOR-ed at step r; columns from k on are unit columns at
+          the original rows left in places k, k+1, ...  Each remaining row
+          carries its original index and the bits of the steps that
+          XOR-ed it, so P comes out by rows.
         """
         n = self.n
-        m = list(packed)
-        p_cols = [1 << (8 * i) for i in range(n)]
-        q_rows = list(p_cols)
+        units = [1 << (8 * i) for i in range(n)]
+        rest = [[row, t, 0] for t, row in enumerate(packed)]   # row, original index, P bits
+        q = units[:]
+        p = [0] * n
         r = 0
-        while r < n:
-            # rows at and below r are zero left of column r, so a row's
-            # lowest set bit is its first nonzero column
-            best = pi = -1
-            for i in range(r, n):
-                row = m[i]
-                if row:
-                    low = (row & -row).bit_length()
-                    if best < 0 or low < best:
-                        best, pi = low, i
-            if pi < 0:
-                break
-            pj = (best - 1) >> 3
-            if pi != r:
-                m[r], m[pi] = m[pi], m[r]
-                p_cols[r], p_cols[pi] = p_cols[pi], p_cols[r]
-            if pj != r:
-                swap = (1 << (8 * r)) | (1 << (8 * pj))
-                for t in range(n):
-                    row = m[t]
-                    if (row >> (8 * r) ^ row >> (8 * pj)) & 1:
-                        m[t] = row ^ swap
-                q_rows[r], q_rows[pj] = q_rows[pj], q_rows[r]
-            bit = 1 << (8 * r)
-            mr = m[r]
-            for i in range(n):
-                if i != r and m[i] & bit:
-                    m[i] ^= mr
-                    p_cols[r] ^= p_cols[i]
-            rest = mr ^ bit
-            j = 0
-            while rest:
-                if rest & 1:
-                    q_rows[r] ^= q_rows[j]
-                rest >>= 8
-                j += 1
-            m[r] = bit
+        below = reduce(or_, packed)
+        while below:
+            bit = below & -below
+            pi = 0
+            while not rest[pi][0] & bit:
+                pi += 1
+            mr, t, c = rest[pi]
+            rbit = units[r]
+            p[t] = c | rbit
+            # mat_rnf swaps rows r and r + pi
+            head = rest.pop(0)
+            if pi:
+                rest[pi - 1] = head
+            pj = (bit.bit_length() - 1) >> 3
+            q[pj] = q[r]
+            q[r] = mr
+            below = 0
+            for rec in rest:
+                row = rec[0]
+                if row & bit:
+                    row ^= mr
+                    rec[0] = row
+                    rec[2] |= rbit
+                below |= row
             r += 1
-        p_rows = tuple(zip(*self._bits(p_cols)))
-        q_packed = tuple(q_rows)
-        return (p_rows, None), r, (self._bits(q_packed), q_packed)
+        for pos, (_, t, c) in enumerate(rest, r):
+            p[t] = c | units[pos]
+        p, q = tuple(p), tuple(q)
+        return (self._bits(p), p), r, (self._bits(q), q)

@@ -334,18 +334,19 @@ class DeltaMap:
     def from_text(cls, text: str) -> "DeltaMap":
         import re
         from .fields import parse_field
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
         if not lines:
             raise UsageError("empty delta table text")
+        header = lines[0][1]
         m = re.match(r"^delta\s+n\s+(\d+)\s+field\s+(\S+)\s+domain\s+(\S+)$",
-                     lines[0].strip())
+                     header.strip())
         if not m:
-            raise UsageError(f"bad delta table header {lines[0]!r}")
+            raise UsageError(f"bad delta table header {header!r}")
         n = int(m.group(1))
         fld = parse_field(m.group(2))
         domain = DeltaDomain.from_token(m.group(3))
         table = {}
-        for ln in lines[1:]:
+        for lineno, ln in lines[1:]:
             halves = ln.split("->")
             if len(halves) != 2:
                 raise UsageError(f"bad delta table record {ln!r}")
@@ -357,6 +358,9 @@ class DeltaMap:
                 vals = [fld.parse(t) for t in lits]
                 return Matrix._raw(fld, [vals[i * n:(i + 1) * n] for i in range(n)])
             x = grid(halves[0])
+            if x.rows in table:
+                raise UsageError(
+                    f"duplicate delta table record for [{x.encode()}] on line {lineno}")
             table[x.rows] = grid(halves[1])
         return cls(n, fld, domain, table=table)
 

@@ -7,9 +7,11 @@ verification loops.
 Prime-field matrices are packed when their (p, n) allows it (``_packed``):
 each row is also held as one Python int with entry j in byte j, cached in
 ``_fastrep`` on first use.  Over F_2 sums and products are XORs of selected
-rows and the rank and rank normal form use XOR elimination; over an odd p
-byte-wise sums are reduced mod p once per result row.  Packing needs every
-unreduced byte sum to stay below 256.  The largest one is the bracket's,
+rows and the rank and rank normal form use XOR elimination; the rank normal
+form's P and Q come with their packed rows, and ``factor.py`` builds the
+factors from them with a byte mask or zeroed rows, so they are never
+packed again.  Over an odd p byte-wise sums are reduced mod p once per
+result row.  Packing needs every unreduced byte sum to stay below 256.  The largest one is the bracket's,
 n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25, F_5 up to
 n = 7 and F_7 up to n = 3.  Other prime-field matrices, and the odd-p rank
 normal form and nullspace, use the selected kernel backend.

@@ -157,6 +157,18 @@ def test_verify_identity_map_fails(capsys, tmp_path):
     assert out.strip().endswith("status=fail")
 
 
+def test_verify_rejects_duplicate_records(capsys, tmp_path):
+    path = tmp_path / "dup.delta"
+    path.write_text("delta n 2 field F2 domain rank-leq(1)\n"
+                    "0 0 0 0 -> 0 0 0 0\n"
+                    "1 0 0 0 -> 0 0 0 0\n"
+                    "0 0 0 0 -> 1 1 1 1\n")
+    code, out, err = run_cli(capsys, "verify", "--delta", str(path), "--s", "1")
+    assert code == 2
+    assert out == ""
+    assert "duplicate delta table record for [0 0 0 0] on line 4" in err
+
+
 def test_verify_sampled_needs_seed(capsys, ad_e12_full_file):
     code, _, err = run_cli(capsys, "verify", "--delta", ad_e12_full_file,
                            "--s", "1", "--mode", "sampled")

@@ -185,6 +185,16 @@ def test_delta_table_cor31_union_domain(F2):
         parsed(Matrix.zero(F2, 2))
 
 
+def test_delta_table_duplicate_record_rejected(F2):
+    # a second record for the zero matrix used to replace the first silently
+    text = ("delta n 2 field F2 domain rank-leq(1)\n"
+            "0 0 0 0 -> 0 0 0 0\n"
+            "\n"
+            "0 0 0 0 -> 1 1 1 1\n")
+    with pytest.raises(UsageError, match=r"duplicate .*\[0 0 0 0\] on line 4$"):
+        DeltaMap.from_text(text)
+
+
 def test_delta_map_equality_uses_tables(F2):
     d = CanonicalDerivation.random(F2, 2, seed=4)
     t1 = DeltaMap.from_text(derivation_delta(d, DeltaDomain.rank_leq(1)).to_text())

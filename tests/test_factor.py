@@ -1,5 +1,7 @@
 """Rank-s factorization, adapted factorization, and the cover-rank family."""
 
+import random
+
 import pytest
 
 from rankderiv import (
@@ -11,7 +13,11 @@ from rankderiv import (
     factor_rank_s,
     rank_set,
 )
-from rankderiv.factor import second_factor_rank_s
+from rankderiv.factor import (
+    _select_independent_bits,
+    _select_independent_rows,
+    second_factor_rank_s,
+)
 
 
 # -- factor_rank_s --------------------------------------------------------------
@@ -134,6 +140,27 @@ def test_adapt_case_two_tag_matches_definition(F2):
             qr = x.rank_normal_form().Q * y.rank_normal_form().P
             top_vanishes = all(qr[0, j] == 0 for j in range(s))
             assert (fac.case_tag == "case-II") == top_vanishes
+
+
+def _bit_rows(rows):
+    """F_2 rows as packed ints, entry j in bit 8 j."""
+    return [sum(v << (8 * j) for j, v in enumerate(row)) for row in rows]
+
+
+def test_select_independent_bits_matches_field_rows(F2):
+    rng = random.Random("select-bits")
+    for trial in range(400):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 5)
+        rows = [[rng.randrange(2) if rng.random() < 0.6 else 0 for _ in range(n_cols)]
+                for _ in range(n_rows)]
+        want = rng.randint(1, n_cols)
+        try:
+            expected = _select_independent_rows(rows, F2, want)
+        except PreconditionError as e:
+            with pytest.raises(PreconditionError, match=str(e)):
+                _select_independent_bits(_bit_rows(rows), want)
+        else:
+            assert _select_independent_bits(_bit_rows(rows), want) == expected
 
 
 # -- rank_set / cover_rank ----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Packed small-prime matrices against the list kernels.
 
 Every packed operation (add, sub, mul, the bracket of ``apply_derivation``,
-rank and the F_2 rank normal form) must give exactly what ``_kernels_py``
-gives, including the RNF transforms P and Q.  A (p, n) past the slot bound
-must not pack at all.
+rank, the F_2 rank normal form and the F_2 nullspace) must give exactly
+what ``_kernels_py`` gives, including the RNF transforms P and Q and their
+packed rows.  A (p, n) past the slot bound must not pack at all.
 """
 
 import itertools
@@ -55,6 +55,9 @@ def _check_unary(field, a, packs=True):
         rnf = m.rank_normal_form()
         P, k, Q = lists.mat_rnf(a, p)
         assert (rnf.P.rows, rnf.k, rnf.Q.rows) == (_rows(P), k, _rows(Q))
+        sp = _packed.space(p, len(a))
+        assert rnf.P._fastrep == sp.pack(rnf.P.rows)
+        assert rnf.Q._fastrep == sp.pack(rnf.Q.rows)
 
 
 def _check_binary(field, a, b, packs=True):
@@ -83,6 +86,27 @@ def test_exhaustive_small(p, n):
         for b in partners:
             _check_binary(field, a, b)
             _check_binary(field, b, a)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 13])
+def test_rnf2_more_sizes(n):
+    # every matrix at n = 4; seeded ones of every rank past that, also past
+    # the intern table (n = 13), where rows are packed and decoded without it
+    field = parse_field("F2")
+    for a in _all(n, 2) if n == 4 else _seeded(n, 2, 60, "rnf2"):
+        _check_unary(field, a)
+
+
+def test_nullspace2_matches_list_kernel():
+    rng = random.Random("nullspace2")
+    for trial in range(400):
+        n_rows, n = rng.randint(1, 4), rng.randint(1, 8)
+        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(n_rows)]
+        if trial % 3 == 0:   # a dependent row
+            rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[-1])))
+        sp = _packed.space(2, n)
+        want = sp.pack([tuple(v) for v in lists.mat_nullspace(rows, 2)])
+        assert sp.nullspace2(sp.pack(rows)) == list(want), rows
 
 
 @pytest.mark.parametrize("p", [2, 3])
