@@ -1,17 +1,11 @@
-"""Kernel backend selection.
+"""The reference kernels and the backend name.
 
-The compiled extension is preferred when importable; set ``RANKDERIV_PURE=1``
-to force the pure-Python twin (useful for benchmarking and debugging).
+Prime-field matrices run on packed rows or on the generic elimination of
+``matrix.py``; there is one backend, and ``BACKEND`` names it so that
+benchmark results record what they measured.  ``kernels`` is the pure
+reference module ``_kernels_py``, which no library path calls.
 """
 
-import os
+from rankderiv import _kernels_py as kernels
 
-if os.environ.get("RANKDERIV_PURE"):
-    from rankderiv import _kernels_py as kernels
-else:
-    try:
-        from rankderiv import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from rankderiv import _kernels_py as kernels
-
-BACKEND = kernels.BACKEND
+BACKEND = "pure"

@@ -1,8 +1,12 @@
-"""Pure-Python mod-p matrix kernels.
+"""Pure-Python mod-p matrix kernels, kept as a reference.
 
-Twin of the compiled ``_kernels`` extension: same functions, same pivoting
-(first nonzero entry in column order), bit-identical outputs.  Matrices are
-sequences of row sequences of canonical residues; results are lists of lists.
+No library path calls these functions.  They are an independent mod-p
+implementation, written with integer arithmetic rather than field
+operations, that the tests and the benchmark compare the packed rows and
+the generic elimination against: same functions as those paths, same
+pivoting (first nonzero entry in column order), so equal outputs are
+required.  Matrices are sequences of row sequences of canonical residues;
+results are lists of lists.
 """
 
 BACKEND = "pure"

@@ -14,7 +14,7 @@ on all n entries, as long as no byte (a "slot") overflows into the next.
   is the one of the bracket A x + x (p - A), n (p-1) (2p-1), so a (p, n)
   packs only when that is at most 255: F_3 up to n = 25, F_5 up to n = 7,
   F_7 up to n = 3, F_11 at n = 1.  Every other (p, n) has no packed space,
-  and its matrices keep the list kernels.
+  and its matrices use the generic elimination of ``matrix.py``.
 
 Arithmetic returns ``(rows, packed)``: the decoded rows as tuples of ints,
 and the packed rows, or None where they are left to be packed on demand.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import PreconditionError
-from .matrix import Matrix, _nullspace_rows
+from .matrix import Matrix, _gen_nullspace
 
 __all__ = [
     "RankSFactorization",
@@ -210,7 +210,7 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
     # case-II: row 0 of QR J_s vanishes; kernel rows of G^T complete x2
     g_rows = w_rows[1:]                     # G is (n-1) x s with rank s
     gt_rows = list(zip(*g_rows))            # s x (n-1)
-    kernel = _nullspace_rows(gt_rows, field)
+    kernel = _gen_nullspace(gt_rows, field)
     h_rows = kernel[: s - 1]                # (s-1) x (n-1), HG = 0
     block = [[zero] * n for _ in range(n)]
     block[0][0] = field.one

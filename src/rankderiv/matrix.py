@@ -14,7 +14,8 @@ packed again.  Over an odd p byte-wise sums are reduced mod p once per
 result row.  Packing needs every unreduced byte sum to stay below 256.  The largest one is the bracket's,
 n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25, F_5 up to
 n = 7 and F_7 up to n = 3.  Other prime-field matrices, and the odd-p rank
-normal form and nullspace, use the selected kernel backend.
+normal form and every nullspace, use the generic elimination below with
+``PrimeField`` operations.
 
 Over Q and Q(t) the rank is the integer rank of the matrix cleared to
 integer polynomials and evaluated at t = 2^B (``_kronecker``); a matrix
@@ -24,7 +25,7 @@ its own field, so the slot holds one kind of value per field.  Other
 fields, and the rank normal form and nullspace over Q and Q(t), use the
 generic elimination below.  Every path has the same pivoting rule (first
 nonzero entry in column order), so outputs do not depend on the
-representation or the backend.
+representation.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import re
 from dataclasses import dataclass
 
 from . import _kronecker, _packed
-from ._backend import kernels
 from .errors import PreconditionError, UsageError
 from .fields import Field, PrimeField
 
@@ -182,8 +182,6 @@ class Matrix:
         if sp is not None:
             return Matrix._from_packed(f, sp.add(self._packed_rows(sp),
                                                   other._packed_rows(sp)))
-        if isinstance(f, PrimeField):
-            return Matrix._raw(f, kernels.mat_add(self.rows, other.rows, f.p))
         return Matrix._raw(f, [
             [f.add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.rows, other.rows)
@@ -196,8 +194,6 @@ class Matrix:
         if sp is not None:
             return Matrix._from_packed(f, sp.sub(self._packed_rows(sp),
                                                   other._packed_rows(sp)))
-        if isinstance(f, PrimeField):
-            return Matrix._raw(f, kernels.mat_sub(self.rows, other.rows, f.p))
         return Matrix._raw(f, [
             [f.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.rows, other.rows)
@@ -210,8 +206,6 @@ class Matrix:
         if sp is not None:
             self._packed_rows(sp)   # checks the entries ``mul`` reads unpacked
             return Matrix._from_packed(f, sp.mul(self.rows, other._packed_rows(sp)))
-        if isinstance(f, PrimeField):
-            return Matrix._raw(f, kernels.mat_mul(self.rows, other.rows, f.p))
         return Matrix._raw(f, _gen_mul(self.rows, other.rows, f))
 
     def __neg__(self):
@@ -236,7 +230,7 @@ class Matrix:
             elif _kronecker.handles(self.field):
                 self._rank = _kronecker.rank(self.field, self.rows, _kronecker.rep(self))
             else:
-                self._rank = _rank_rows(self.rows, self.field)
+                self._rank = _gen_rank(self.rows, self.field)
         return self._rank
 
     def rank_normal_form(self) -> "RankNormalForm":
@@ -248,10 +242,7 @@ class Matrix:
                 P, k, Q = sp.rnf2(self._packed_rows(sp))
                 P, Q = Matrix._from_packed(f, P), Matrix._from_packed(f, Q)
             else:
-                if isinstance(f, PrimeField):
-                    P, k, Q = kernels.mat_rnf(self.rows, f.p)
-                else:
-                    P, k, Q = _gen_rnf(self.rows, f)
+                P, k, Q = _gen_rnf(self.rows, f)
                 P, Q = Matrix._raw(f, P), Matrix._raw(f, Q)
             self._rnf = RankNormalForm(P, k, Q)
             if self._rank is None:
@@ -260,12 +251,7 @@ class Matrix:
 
     def nullspace(self) -> list:
         """Basis of {v : M v = 0} as column tuples, reduced echelon convention."""
-        f = self.field
-        if isinstance(f, PrimeField):
-            basis = kernels.mat_nullspace(self.rows, f.p)
-        else:
-            basis = _gen_nullspace(self.rows, f)
-        return [tuple(v) for v in basis]
+        return [tuple(v) for v in _gen_nullspace(self.rows, self.field)]
 
     # -- text format ---------------------------------------------------------
 
@@ -498,18 +484,9 @@ def _gen_rnf(rows, field):
 
 
 def _rank_rows(rows, field):
-    if isinstance(field, PrimeField):
-        return kernels.mat_rank(rows, field.p)
     if _kronecker.handles(field):
         return _kronecker.rank(field, rows)
     return _gen_rank(rows, field)
-
-
-def _nullspace_rows(rows, field):
-    """Right-kernel basis of a (possibly rectangular) raw row list."""
-    if isinstance(field, PrimeField):
-        return kernels.mat_nullspace(rows, field.p)
-    return _gen_nullspace(rows, field)
 
 
 def rank_count_formula(n: int, k: int, q: int) -> int:
@@ -604,8 +581,4 @@ def random_rank_k(n: int, k: int, field: Field, seed: int) -> Matrix:
         u = [[field.random_element(rng) for _ in range(k)] for _ in range(n)]
         v = [[field.random_element(rng) for _ in range(n)] for _ in range(k)]
         if _rank_rows(u, field) == k and _rank_rows(v, field) == k:
-            if isinstance(field, PrimeField):
-                prod = kernels.mat_mul(u, v, field.p)
-            else:
-                prod = _gen_mul(u, v, field)
-            return Matrix._raw(field, prod)
+            return Matrix._raw(field, _gen_mul(u, v, field))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .derivations import DeltaDomain, DeltaMap
 from .errors import PreconditionError, ResourceLimitError, UsageError
-from .matrix import Matrix, enumerate_rank_k, rank_count_formula
+from .matrix import Matrix, _gen_rref, enumerate_rank_k, rank_count_formula
 
 __all__ = [
     "ConstraintSystem",
@@ -48,8 +48,7 @@ class ConstraintSystem:
 
     ``domain`` lists the rank <= s matrices in deterministic order; unknown
     ``idx * n^2 + a * n + b`` is entry (a, b) of delta(domain[idx]).  Each
-    equation row is a coefficient dict, tagged in ``provenance`` with its
-    generating pair and entry position.
+    equation row is a coefficient dict.
     """
 
     n: int
@@ -58,7 +57,6 @@ class ConstraintSystem:
     domain: list
     index: dict
     rows: list
-    provenance: list
 
     @property
     def unknown_count(self) -> int:
@@ -93,7 +91,6 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
     nn = n * n
     rank_s = [m for m in domain if m.rank() == s]
     rows = []
-    provenance = []
     p = field.order
     for x in rank_s:
         ix = index[x.rows] * nn
@@ -116,8 +113,7 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
                             col = iy + c * n + b
                             coeffs[col] = (coeffs.get(col, 0) - xac) % p
                     rows.append({c: v for c, v in coeffs.items() if v})
-                    provenance.append((x, y, a, b))
-    return ConstraintSystem(n, s, field, domain, index, rows, provenance)
+    return ConstraintSystem(n, s, field, domain, index, rows)
 
 
 def _subtract(row, f, pivot, p):
@@ -176,8 +172,7 @@ def solution_space(n: int, s: int, field):
     p = field.order
     basis = _nullspace(system.rows, ncols, p)
     if basis:
-        from ._backend import kernels
-        rref_rows, _ = kernels.mat_rref(basis, p)
+        rref_rows, _ = _gen_rref(basis, field)
         basis = rref_rows[: len(basis)]
     nn = n * n
     maps = []

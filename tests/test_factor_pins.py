@@ -6,7 +6,7 @@ form, the factor masks and ``adapted_factor`` ran on packed rows.  The
 inputs cover every representation a factor can take: F_2 (packed, every
 admissible (y, s) with n <= 4), F_3 at n = 4 and F_5 at n = 7 (odd-p
 packed, with and without the intern table of rows), F_3 at n = 26 (past the
-slot bound, list kernels) and Q (generic elimination).  A change of
+slot bound, generic elimination) and Q (generic elimination).  A change of
 representation must leave every digest as it is.
 """
 

@@ -1,9 +1,11 @@
-"""Packed small-prime matrices against the list kernels.
+"""Prime-field matrices against the reference list kernels.
 
 Every packed operation (add, sub, mul, the bracket of ``apply_derivation``,
 rank, the F_2 rank normal form and the F_2 nullspace) must give exactly
 what ``_kernels_py`` gives, including the RNF transforms P and Q and their
-packed rows.  A (p, n) past the slot bound must not pack at all.
+packed rows.  So must the generic elimination that serves the rest: the
+odd-p rank normal form, every nullspace, and every operation at a (p, n)
+past the slot bound, which must not pack at all.
 """
 
 import itertools
@@ -51,10 +53,11 @@ def _check_unary(field, a, packs=True):
     m = Matrix._raw(field, a)
     assert m.rank() == lists.mat_rank(a, p)
     assert (m._fastrep is not None) == packs
+    assert m.nullspace() == [tuple(v) for v in lists.mat_nullspace(a, p)]
+    rnf = m.rank_normal_form()
+    P, k, Q = lists.mat_rnf(a, p)
+    assert (rnf.P.rows, rnf.k, rnf.Q.rows) == (_rows(P), k, _rows(Q))
     if p == 2:
-        rnf = m.rank_normal_form()
-        P, k, Q = lists.mat_rnf(a, p)
-        assert (rnf.P.rows, rnf.k, rnf.Q.rows) == (_rows(P), k, _rows(Q))
         sp = _packed.space(p, len(a))
         assert rnf.P._fastrep == sp.pack(rnf.P.rows)
         assert rnf.Q._fastrep == sp.pack(rnf.Q.rows)
@@ -137,14 +140,16 @@ def test_past_slot_bound_takes_list_path():
     # overshoot of any (p, n)
     assert [_packed.space(p, n) is None for p, n in ((5, 8), (7, 4), (11, 2))] \
         == [True, True, True]
-    p, n = 3, 26
-    assert _packed.space(p, n - 1) is not None and _packed.space(p, n) is None
-    field = parse_field(f"F{p}")
-    mats = _seeded(n, p, 8, "past")
-    for a in mats:
-        _check_unary(field, a, packs=False)
-    for a, b in zip(mats, mats[1:] + mats[:1]):
-        _check_binary(field, a, b, packs=False)
+    assert _packed.space(3, 25) is not None
+    # F_3 n = 26, a small odd p, and a prime past 2^32
+    for p, n in ((3, 26), (7, 4), (4294967311, 4)):
+        assert _packed.space(p, n) is None
+        field = parse_field(f"F{p}")
+        mats = _seeded(n, p, 8, "past")
+        for a in mats:
+            _check_unary(field, a, packs=False)
+        for a, b in zip(mats, mats[1:] + mats[:1]):
+            _check_binary(field, a, b, packs=False)
 
 
 def test_large_n_over_f2_packs():

@@ -32,7 +32,6 @@ def test_system_shape_2_1_f2(F2):
     assert system.unknown_count == 40      # 10 domain matrices x 4 entries
     assert system.block_count == 81        # ordered rank-1 pairs
     assert len(system.rows) == 81 * 4
-    assert len(system.provenance) == len(system.rows)
 
 
 def test_system_shape_3_1_f2(F2):
