@@ -84,9 +84,6 @@ class CanonicalDerivation:
         return (isinstance(other, CanonicalDerivation)
                 and other.A == self.A and other.mu == self.mu)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.A, self.mu))
 
@@ -361,6 +358,10 @@ class DeltaMap:
             if x.rows in table:
                 raise UsageError(
                     f"duplicate delta table record for [{x.encode()}] on line {lineno}")
+            if domain.kind != "full" and not domain.contains(x.rank(), n):
+                raise UsageError(
+                    f"delta table record for [{x.encode()}] on line {lineno} lies "
+                    f"outside domain {domain.token()}")
             table[x.rows] = grid(halves[1])
         return cls(n, fld, domain, table=table)
 
@@ -400,8 +401,18 @@ def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
 # verification
 # ---------------------------------------------------------------------------
 
-# exhaustive verification refuses to start above this many ordered pairs
+# exhaustive verification refuses to start above this many ordered pairs,
+# extension and reconstruction above this many matrices
 VERIFY_GUARD = 10 ** 6
+
+
+def _guard_enumeration(n: int, ranks, q: int, what: str):
+    """Refuse more than ``VERIFY_GUARD`` matrices of these ranks, counted
+    by ``rank_count_formula`` before anything is enumerated."""
+    total = sum(rank_count_formula(n, k, q) for k in ranks)
+    if total > VERIFY_GUARD:
+        raise ResourceLimitError(
+            f"{total} matrices exceed the {VERIFY_GUARD} exhaustive {what} guard")
 
 
 @dataclass(frozen=True)
@@ -546,7 +557,8 @@ def extend_to_low_ranks(delta: DeltaMap, s: int | None = None) -> ExtensionResul
     delta(y) := delta(y1) y2 + y1 delta(y2) with y = y1 y2 a rank-s
     factorization.  Each extended value is recomputed from a second,
     independent factorization; disagreements are reported per matrix
-    (they signal the input does not obey the product rule)."""
+    (they signal the input does not obey the product rule).  Refused with
+    ResourceLimitError above ``VERIFY_GUARD`` matrices of rank <= s."""
     if s is None:
         if delta.domain.kind != "rank-exact":
             raise UsageError("extend_to_low_ranks needs a rank-exact domain or s")
@@ -556,6 +568,7 @@ def extend_to_low_ranks(delta: DeltaMap, s: int | None = None) -> ExtensionResul
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")
     if not fld.is_finite:
         raise UsageError("extension tabulates the domain; needs a finite field")
+    _guard_enumeration(n, range(s + 1), fld.order, "extension")
     table = {}
     for x in enumerate_rank_k(n, s, fld):
         table[x] = delta(x)
@@ -696,8 +709,9 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
     delta against it on the full ring: gap ranks additionally get the
     product-rule factorization check delta(z) = delta(z1) z2 + z1 delta(z2).
 
-    Exhaustive over finite fields; sampled (``count`` points, seed required)
-    otherwise."""
+    Exhaustive over finite fields (refused with ResourceLimitError, before
+    extracting, above ``VERIFY_GUARD`` matrices); sampled (``count``
+    points, seed required) otherwise."""
     if delta.n != n:
         raise UsageError(f"delta is over n={delta.n}, not n={n}")
     fld = delta.field
@@ -707,6 +721,8 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
         raise PreconditionError(
             f"rank set {ranks} has minimum 0 (n = 2^m - 1); the covering "
             f"construction does not apply at n={n}")
+    if fld.is_finite:
+        _guard_enumeration(n, range(n + 1), fld.order, "reconstruction")
     derivation = extract_derivation(delta, s_min, probes=probes)
     member = set(ranks)
     gaps = tuple(k for k in range(s_min + 1, n)

@@ -10,9 +10,10 @@
   {n + 1 - 2^i} from which every intermediate rank can be product-covered.
 
 Factors of a matrix with packed rows (``_packed``) are masked on the packed
-rows of P and Q.  Over F_2 ``adapted_factor`` also picks its rows and
-solves its case-II kernel on packed rows; over other fields it uses field
-operations.  Every path gives the same factors.
+rows of P and Q.  ``adapted_factor`` reads W^T, the first s columns of Q R
+transposed: its pivot columns in case-I, its kernel in case-II, on packed
+rows over F_2 and through the generic ``_echelon`` otherwise.  Every path
+gives the same factors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import PreconditionError
-from .matrix import Matrix, _gen_nullspace
+from .matrix import Matrix, _echelon, _gen_nullspace
 
 __all__ = [
     "RankSFactorization",
@@ -114,42 +115,9 @@ def second_factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
     return RankSFactorization(y1, y2, s)
 
 
-def _select_independent_rows(rows, field, want: int) -> list:
-    """Greedy 0-based indices, always containing 0, whose rows span rank
-    ``want``; lexicographically smallest choice."""
-    zero = field.zero
-    n_cols = len(rows[0])
-    basis = []  # (pivot_col, normalized row)
-
-    def try_add(vec):
-        w = list(vec)
-        for pc, br in basis:
-            if w[pc] != zero:
-                f = w[pc]
-                for j in range(pc, n_cols):
-                    w[j] = field.sub(w[j], field.mul(f, br[j]))
-        for j in range(n_cols):
-            if w[j] != zero:
-                inv = field.inv(w[j])
-                basis.append((j, [field.mul(inv, c) for c in w]))
-                basis.sort(key=lambda e: e[0])
-                return True
-        return False
-
-    selected = [0]
-    try_add(rows[0])
-    for i in range(1, len(rows)):
-        if len(selected) == want:
-            break
-        if try_add(rows[i]):
-            selected.append(i)
-    if len(selected) != want:
-        raise PreconditionError("rows do not span the required rank")
-    return selected
-
-
 def _select_independent_bits(rows, want: int) -> list:
-    """``_select_independent_rows`` over F_2 on rows held as ints."""
+    """The first ``want`` independent F_2 rows (held as ints), row 0 nonzero
+    among them: the pivot columns of the transpose, as 0-based indices."""
     # each kept row is reduced by all earlier ones, so it has none of their
     # lowest bits set, and a row reduces to 0 exactly when it is dependent
     basis = [(rows[0] & -rows[0], rows[0])] if rows[0] else []
@@ -185,38 +153,23 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
     fx = x.rank_normal_form()      # x = P e_00 Q
     fy = y.rank_normal_form()      # y = R J_s S
     P, Q, R = fx.P, fx.Q, fy.P
+    # W = Q R J_s, of which only the first s columns matter.  Case-I (row 0
+    # of W nonzero) keeps the rows of Q at the pivot columns of W^T; in
+    # case-II the first s kernel vectors of W^T, e_0 first, make x2 Q^-1
     sp = x._space()
     if sp is not None and sp.p == 2:
-        # W = Q R J_s: only the first s columns of QR matter
         first = sp.slots(range(s))
         w_rows, w = sp.mul(Q.rows, [r & first for r in R._packed_rows(sp)])
         if w[0]:
             return _case_one(P, Q, s, _select_independent_bits(w, s))
-        # case-II: row 0 of W vanishes, so column 0 of W^T is zero, and the
-        # kernel basis of W^T is e_0 followed by that of G^T shifted by one
-        # place: its first s vectors are the nonzero rows of the block of
-        # the list path below
         kernel = sp.nullspace2(sp.pack(list(islice(zip(*w_rows), s))))
         block = sp.decode(kernel[:s] + [0] * (n - s))[0]
         x2 = Matrix._from_packed(field, sp.mul(block, Q._packed_rows(sp)))
         return _case_two(P, x2, s)
-    QR = Q * R
-    # only the first s columns of QR * J_s matter
-    w_rows = [row[:s] for row in QR.rows]
-    zero = field.zero
-    if any(c != zero for c in w_rows[0]):
-        # case-I: extend row 0 to s independent rows of QR J_s
-        return _case_one(P, Q, s, _select_independent_rows(w_rows, field, s))
-    # case-II: row 0 of QR J_s vanishes; kernel rows of G^T complete x2
-    g_rows = w_rows[1:]                     # G is (n-1) x s with rank s
-    gt_rows = list(zip(*g_rows))            # s x (n-1)
-    kernel = _gen_nullspace(gt_rows, field)
-    h_rows = kernel[: s - 1]                # (s-1) x (n-1), HG = 0
-    block = [[zero] * n for _ in range(n)]
-    block[0][0] = field.one
-    for r, vec in enumerate(h_rows):
-        for c, val in enumerate(vec):
-            block[1 + r][1 + c] = val
+    wt = list(islice(zip(*(Q * R).rows), s))
+    if any(row[0] != field.zero for row in wt):
+        return _case_one(P, Q, s, [col for col, _, _ in _echelon(wt, field)[0]])
+    block = _gen_nullspace(wt, field)[:s] + [[field.zero] * n] * (n - s)
     return _case_two(P, Matrix._raw(field, block) * Q, s)
 
 

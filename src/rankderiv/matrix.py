@@ -23,7 +23,9 @@ with polynomial entries caches its cleared form in ``_fastrep``, which
 ``apply_derivation`` reuses.  A matrix only ever meets the fast paths of
 its own field, so the slot holds one kind of value per field.  Other
 fields, and the rank normal form and nullspace over Q and Q(t), use the
-generic elimination below.  Every path has the same pivoting rule (first
+generic elimination below: one forward pass, ``_echelon``, whose steps
+give the rank, the reduced echelon form (normalized and back-substituted)
+and the rank normal form.  Every path has the same pivoting rule (first
 nonzero entry in column order), so outputs do not depend on the
 representation.
 """
@@ -141,9 +143,6 @@ class Matrix:
         return (isinstance(other, Matrix)
                 and (other.field is self.field or other.field == self.field)
                 and other.rows == self.rows)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -347,66 +346,72 @@ def _gen_mul(a, b, field):
     return out
 
 
-def _gen_rank(rows, field):
+def _echelon(rows, field):
+    """Forward elimination of ``rows``, any shape: ``(steps, order)``.
+
+    Step r pivots on the first column that is nonzero in a row at or below
+    place r and on the first such row, swaps it into place r and clears the
+    column below it; the pivot row is not normalized and no later step
+    touches it.  Each step is ``(col, row, column)``: the pivot column, the
+    pivot row and the column's nonzero entries from place r down, as
+    ``(original row, value)``.  ``order`` is the original row at each place.
+    """
     m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    zero = field.zero
-    rank = 0
+    nr, nc = len(m), len(m[0]) if m else 0
+    order = list(range(nr))
+    zero, mul, sub = field.zero, field.mul, field.sub
+    steps = []
     for col in range(nc):
-        piv = -1
-        for i in range(rank, nr):
-            if m[i][col] != zero:
-                piv = i
-                break
-        if piv < 0:
+        r = piv = len(steps)
+        while piv < nr and m[piv][col] == zero:
+            piv += 1
+        if piv == nr:
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        rp = m[rank]
+        m[r], m[piv] = m[piv], m[r]
+        order[r], order[piv] = order[piv], order[r]
+        rp = m[r]
+        column = [(order[r], rp[col])]
         inv = field.inv(rp[col])
-        for i in range(rank + 1, nr):
+        for i in range(r + 1, nr):
             ri = m[i]
-            if ri[col] != zero:
-                f = field.mul(ri[col], inv)
-                for j in range(col, nc):
-                    ri[j] = field.sub(ri[j], field.mul(f, rp[j]))
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+            c = ri[col]
+            if c != zero:
+                column.append((order[i], c))
+                f = mul(c, inv)
+                ri[col] = zero
+                for j in range(col + 1, nc):
+                    if rp[j] != zero:
+                        ri[j] = sub(ri[j], mul(f, rp[j]))
+        steps.append((col, rp, column))
+    return steps, order
+
+
+def _gen_rank(rows, field):
+    return len(_echelon(rows, field)[0])
+
+
+def _normalized(row, col, field):
+    inv = field.inv(row[col])
+    return row if inv == field.one else [field.mul(e, inv) for e in row]
 
 
 def _gen_rref(rows, field):
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    zero = field.zero
-    pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = -1
-        for i in range(rank, nr):
-            if m[i][col] != zero:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        rp = m[rank]
-        inv = field.inv(rp[col])
-        if inv != field.one:
-            for j in range(col, nc):
-                rp[j] = field.mul(rp[j], inv)
-        for i in range(nr):
-            ri = m[i]
-            if i != rank and ri[col] != zero:
-                f = ri[col]
+    """Reduced row echelon form: ``(rows, pivot columns)``, zero rows last."""
+    nc = len(rows[0]) if rows else 0
+    zero, mul, sub = field.zero, field.mul, field.sub
+    m, pivots = [], []
+    for col, row, _ in _echelon(rows, field)[0]:
+        row = _normalized(row, col, field)
+        # clear col from the rows above; row is zero at their pivots
+        for ri in m:
+            c = ri[col]
+            if c != zero:
                 for j in range(col, nc):
-                    ri[j] = field.sub(ri[j], field.mul(f, rp[j]))
+                    if row[j] != zero:
+                        ri[j] = sub(ri[j], mul(c, row[j]))
+        m.append(row)
         pivots.append(col)
-        rank += 1
-        if rank == nr:
-            break
+    m.extend([zero] * nc for _ in range(len(rows) - len(m)))
     return m, pivots
 
 
@@ -428,59 +433,26 @@ def _gen_nullspace(rows, field):
 
 
 def _gen_rnf(rows, field):
+    """``mat_rnf`` read off ``_echelon``, as ``_packed.Space.rnf2`` does over
+    F_2.  Column r < k of P is step r's column at the original rows and row
+    r of Q its pivot row, normalized; from k on P and Q hold the unit
+    columns and rows that ``mat_rnf``'s swaps leave in those places."""
     n = len(rows)
-    m = [list(r) for r in rows]
     zero, one = field.zero, field.one
-    P = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    Q = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    r = 0
-    for _ in range(n):
-        pi = pj = -1
-        for j in range(r, n):
-            for i in range(r, n):
-                if m[i][j] != zero:
-                    pi, pj = i, j
-                    break
-            if pi >= 0:
-                break
-        if pi < 0:
-            break
-        if pi != r:
-            m[r], m[pi] = m[pi], m[r]
-            for t in range(n):
-                Pt = P[t]
-                Pt[r], Pt[pi] = Pt[pi], Pt[r]
-        if pj != r:
-            for t in range(n):
-                mt = m[t]
-                mt[r], mt[pj] = mt[pj], mt[r]
-            Q[r], Q[pj] = Q[pj], Q[r]
-        pv = m[r][r]
-        if pv != one:
-            inv = field.inv(pv)
-            mr = m[r]
-            for j in range(n):
-                mr[j] = field.mul(mr[j], inv)
-            for t in range(n):
-                P[t][r] = field.mul(P[t][r], pv)
-        mr = m[r]
-        for i in range(n):
-            if i != r and m[i][r] != zero:
-                c = m[i][r]
-                mi = m[i]
-                for j in range(n):
-                    mi[j] = field.sub(mi[j], field.mul(c, mr[j]))
-                for t in range(n):
-                    P[t][r] = field.add(P[t][r], field.mul(c, P[t][i]))
-        for j in range(n):
-            if j != r and mr[j] != zero:
-                c = mr[j]
-                mr[j] = zero
-                Qr, Qj = Q[r], Q[j]
-                for t in range(n):
-                    Qr[t] = field.add(Qr[t], field.mul(c, Qj[t]))
-        r += 1
-    return P, r, Q
+    steps, order = _echelon(rows, field)
+    P = [[zero] * n for _ in range(n)]
+    Q = [[zero] * n for _ in range(n)]
+    places = list(range(n))     # the original column at each place
+    for r, (col, row, column) in enumerate(steps):
+        for t, v in column:
+            P[t][r] = v
+        Q[r] = _normalized(row, col, field)
+        j = places.index(col)
+        places[r], places[j] = col, places[r]
+    for r in range(len(steps), n):
+        P[order[r]][r] = one
+        Q[r][places[r]] = one
+    return P, len(steps), Q
 
 
 def _rank_rows(rows, field):

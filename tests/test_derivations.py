@@ -195,6 +195,20 @@ def test_delta_table_duplicate_record_rejected(F2):
         DeltaMap.from_text(text)
 
 
+def test_delta_table_out_of_domain_record_rejected(F2):
+    # a rank-2 record in a rank <= 1 table could never be looked up
+    text = ("delta n 2 field F2 domain rank-leq(1)\n"
+            "0 0 0 0 -> 0 0 0 0\n"
+            "1 0 0 1 -> 0 0 0 0\n")
+    with pytest.raises(UsageError,
+                       match=r"record for \[1 0 0 1\] on line 3 lies outside domain rank-leq\(1\)$"):
+        DeltaMap.from_text(text)
+    text = ("delta n 2 field F2 domain rank-exact(1)\n"
+            "0 0 0 0 -> 0 0 0 0\n")
+    with pytest.raises(UsageError, match=r"\[0 0 0 0\] on line 2 lies outside domain rank-exact\(1\)$"):
+        DeltaMap.from_text(text)
+
+
 def test_delta_map_equality_uses_tables(F2):
     d = CanonicalDerivation.random(F2, 2, seed=4)
     t1 = DeltaMap.from_text(derivation_delta(d, DeltaDomain.rank_leq(1)).to_text())
@@ -342,6 +356,20 @@ def test_extension_flags_corruption(F2):
     assert not result.consistent
     assert len(result.inconsistencies) >= 1
 
+
+def test_extension_guard_refuses_before_enumerating(F3, monkeypatch):
+    """F_3, n = 5 has 70,306,083 matrices of rank <= 2; the count comes from
+    the formula, so nothing is enumerated or evaluated."""
+    import rankderiv.derivations as derivations
+
+    def never(*args):
+        raise AssertionError("enumerated or evaluated before the guard")
+
+    monkeypatch.setattr(derivations, "enumerate_rank_k", never)
+    delta = DeltaMap.from_function(5, F3, DeltaDomain.rank_exact(2), never)
+    with pytest.raises(ResourceLimitError,
+                       match="70306083 matrices exceed the 1000000 exhaustive extension guard"):
+        extend_to_low_ranks(delta)
 
 # -- extract_derivation ---------------------------------------------------------------
 
@@ -513,6 +541,21 @@ def test_reconstruct_gap_ranks_n4(F2):
     report = reconstruct_full(make_delta(d), 4)
     assert report.gap_ranks == (2,)
     assert report.passed
+
+
+def test_reconstruct_guard_refuses_before_enumerating(F2, monkeypatch):
+    """M_5(F_2) has 2^25 matrices; the count comes from the formula, so
+    nothing is extracted, enumerated or evaluated."""
+    import rankderiv.derivations as derivations
+
+    def never(*args):
+        raise AssertionError("enumerated or evaluated before the guard")
+
+    monkeypatch.setattr(derivations, "enumerate_rank_k", never)
+    delta = DeltaMap.from_function(5, F2, DeltaDomain.full(), never)
+    with pytest.raises(ResourceLimitError,
+                       match="33554432 matrices exceed the 1000000 exhaustive reconstruction guard"):
+        reconstruct_full(delta, 5)
 
 
 def test_reconstruct_rejects_degenerate_rank_set(F2):

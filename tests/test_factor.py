@@ -13,11 +13,8 @@ from rankderiv import (
     factor_rank_s,
     rank_set,
 )
-from rankderiv.factor import (
-    _select_independent_bits,
-    _select_independent_rows,
-    second_factor_rank_s,
-)
+from rankderiv.factor import _select_independent_bits, second_factor_rank_s
+from rankderiv.matrix import _echelon
 
 
 # -- factor_rank_s --------------------------------------------------------------
@@ -148,19 +145,22 @@ def _bit_rows(rows):
 
 
 def test_select_independent_bits_matches_field_rows(F2):
+    # the greedy rows are the pivot columns of the transpose; row 0 is
+    # nonzero wherever the selection is used (case-I)
     rng = random.Random("select-bits")
     for trial in range(400):
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 5)
         rows = [[rng.randrange(2) if rng.random() < 0.6 else 0 for _ in range(n_cols)]
                 for _ in range(n_rows)]
         want = rng.randint(1, n_cols)
-        try:
-            expected = _select_independent_rows(rows, F2, want)
-        except PreconditionError as e:
-            with pytest.raises(PreconditionError, match=str(e)):
+        if not any(rows[0]):
+            continue
+        pivots = [col for col, _, _ in _echelon(list(zip(*rows)), F2)[0]]
+        if len(pivots) < want:
+            with pytest.raises(PreconditionError, match="rows do not span the required rank"):
                 _select_independent_bits(_bit_rows(rows), want)
         else:
-            assert _select_independent_bits(_bit_rows(rows), want) == expected
+            assert _select_independent_bits(_bit_rows(rows), want) == pivots[:want]
 
 
 # -- rank_set / cover_rank ----------------------------------------------------------

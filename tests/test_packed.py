@@ -4,8 +4,9 @@ Every packed operation (add, sub, mul, the bracket of ``apply_derivation``,
 rank, the F_2 rank normal form and the F_2 nullspace) must give exactly
 what ``_kernels_py`` gives, including the RNF transforms P and Q and their
 packed rows.  So must the generic elimination that serves the rest: the
-odd-p rank normal form, every nullspace, and every operation at a (p, n)
-past the slot bound, which must not pack at all.
+odd-p rank normal form, every nullspace and rref, square or rectangular,
+and every operation at a (p, n) past the slot bound, which must not pack
+at all.
 """
 
 import itertools
@@ -151,6 +152,51 @@ def test_past_slot_bound_takes_list_path():
         for a, b in zip(mats, mats[1:] + mats[:1]):
             _check_binary(field, a, b, packs=False)
 
+
+
+def _rectangular(p, nr, nc, rng):
+    """A sparse nr x nc matrix; every third one repeats a combination of
+    two rows, so that a row reduces to zero."""
+    rows = [[rng.randrange(1, p) if rng.random() < 0.5 else 0 for _ in range(nc)]
+            for _ in range(nr)]
+    if nr > 2 and rng.random() < 1 / 3:
+        c = rng.randrange(1, p)
+        rows[rng.randrange(nr)] = [(a + c * b) % p for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def _basis_like(p, d, nc, rng):
+    """d rows shaped like the solver's basis: each has a 1 at its own free
+    column, zeros at the other rows' free columns and sparse entries
+    elsewhere, in shuffled order."""
+    free = sorted(rng.sample(range(nc), d))
+    rows = []
+    for f in free:
+        row = [0 if j in free else (rng.randrange(1, p) if rng.random() < 0.3 else 0)
+               for j in range(nc)]
+        row[f] = 1
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [3, 7, 4294967311])
+def test_generic_elimination_rectangular(p):
+    # wide s x n inputs (the shape of adapted_factor's W^T), wide inputs
+    # shaped like the solver's basis, and tall inputs
+    from rankderiv.matrix import _gen_nullspace, _gen_rank, _gen_rref
+
+    field = parse_field(f"F{p}")
+    rng = random.Random(f"rectangular|{p}")
+    shapes = [(s, n) for n in range(2, 8) for s in range(1, n // 2 + 1)]
+    shapes += [(nr, nc) for nc in (1, 2, 3) for nr in range(nc + 1, nc + 5)]
+    inputs = [_rectangular(p, nr, nc, rng) for nr, nc in shapes for _ in range(12)]
+    inputs += [_basis_like(p, d, nc, rng) for d, nc in ((1, 9), (3, 16), (5, 40), (8, 60))
+               for _ in range(6)]
+    for a in inputs:
+        assert _gen_rank(a, field) == lists.mat_rank(a, p), a
+        assert _gen_rref(a, field) == lists.mat_rref(a, p), a
+        assert _gen_nullspace(a, field) == lists.mat_nullspace(a, p), a
 
 def test_large_n_over_f2_packs():
     field = parse_field("F2")
