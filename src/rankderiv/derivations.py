@@ -84,6 +84,9 @@ class CanonicalDerivation:
         return (isinstance(other, CanonicalDerivation)
                 and other.A == self.A and other.mu == self.mu)
 
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
     def __hash__(self):
         return hash((self.A, self.mu))
 

@@ -222,6 +222,9 @@ class Field:
     def __repr__(self):
         return f"<{type(self).__name__} {self.spec()}>"
 
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
 
 class Rationals(Field):
     """The field Q; values are reduced ``fractions.Fraction`` objects."""

@@ -144,6 +144,9 @@ class Matrix:
                 and (other.field is self.field or other.field == self.field)
                 and other.rows == self.rows)
 
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
     def __hash__(self):
         return hash((self.field, self.rows))
 

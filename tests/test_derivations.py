@@ -371,6 +371,7 @@ def test_extension_guard_refuses_before_enumerating(F3, monkeypatch):
                        match="70306083 matrices exceed the 1000000 exhaustive extension guard"):
         extend_to_low_ranks(delta)
 
+
 # -- extract_derivation ---------------------------------------------------------------
 
 def test_extract_inner_derivation_over_q(Q):

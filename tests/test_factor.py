@@ -145,22 +145,21 @@ def _bit_rows(rows):
 
 
 def test_select_independent_bits_matches_field_rows(F2):
-    # the greedy rows are the pivot columns of the transpose; row 0 is
-    # nonzero wherever the selection is used (case-I)
+    # the greedy rows are row 0 and the nonzero pivot columns of the
+    # transpose (row 0 is its first pivot column unless it is zero)
     rng = random.Random("select-bits")
     for trial in range(400):
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 5)
         rows = [[rng.randrange(2) if rng.random() < 0.6 else 0 for _ in range(n_cols)]
                 for _ in range(n_rows)]
         want = rng.randint(1, n_cols)
-        if not any(rows[0]):
-            continue
         pivots = [col for col, _, _ in _echelon(list(zip(*rows)), F2)[0]]
-        if len(pivots) < want:
+        sel = [0] + [c for c in pivots if c]
+        if len(sel) < want:
             with pytest.raises(PreconditionError, match="rows do not span the required rank"):
                 _select_independent_bits(_bit_rows(rows), want)
         else:
-            assert _select_independent_bits(_bit_rows(rows), want) == pivots[:want]
+            assert _select_independent_bits(_bit_rows(rows), want) == sel[:want]
 
 
 # -- rank_set / cover_rank ----------------------------------------------------------

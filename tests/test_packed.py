@@ -153,7 +153,6 @@ def test_past_slot_bound_takes_list_path():
             _check_binary(field, a, b, packs=False)
 
 
-
 def _rectangular(p, nr, nc, rng):
     """A sparse nr x nc matrix; every third one repeats a combination of
     two rows, so that a row reduces to zero."""
@@ -197,6 +196,7 @@ def test_generic_elimination_rectangular(p):
         assert _gen_rank(a, field) == lists.mat_rank(a, p), a
         assert _gen_rref(a, field) == lists.mat_rref(a, p), a
         assert _gen_nullspace(a, field) == lists.mat_nullspace(a, p), a
+
 
 def test_large_n_over_f2_packs():
     field = parse_field("F2")
