@@ -46,39 +46,24 @@ def _mu_porcelain(mu) -> str:
     return f"{mu.kind}({body})"
 
 
-def _read_matrix(path: str, args) -> Matrix:
-    m = Matrix.from_text(Path(path).read_text())
+def _read(cls, path: str, args):
+    """``cls.from_text`` of a Matrix or DeltaMap file, checked against the
+    optional --field and --n."""
+    obj = cls.from_text(Path(path).read_text())
     expected_field = getattr(args, "field", None)
-    if expected_field and parse_field(expected_field) != m.field:
+    if expected_field and parse_field(expected_field) != obj.field:
         raise UsageError(
-            f"--field {expected_field} does not match file field {m.field.spec()}")
+            f"--field {expected_field} does not match file field {obj.field.spec()}")
     expected_n = getattr(args, "n", None)
-    if expected_n and expected_n != m.n:
-        raise UsageError(f"--n {expected_n} does not match file dimension {m.n}")
-    return m
-
-
-def _read_delta(path: str, args) -> DeltaMap:
-    d = DeltaMap.from_text(Path(path).read_text())
-    expected_field = getattr(args, "field", None)
-    if expected_field and parse_field(expected_field) != d.field:
-        raise UsageError(
-            f"--field {expected_field} does not match file field {d.field.spec()}")
-    expected_n = getattr(args, "n", None)
-    if expected_n and expected_n != d.n:
-        raise UsageError(f"--n {expected_n} does not match file dimension {d.n}")
-    return d
-
-
-def _require_seed_if_sampled(args):
-    if getattr(args, "mode", "exhaustive") == "sampled" and args.seed is None:
-        raise UsageError("sampled mode requires --seed")
+    if expected_n and expected_n != obj.n:
+        raise UsageError(f"--n {expected_n} does not match file dimension {obj.n}")
+    return obj
 
 
 # -- handlers ----------------------------------------------------------------
 
 def _cmd_factor(args) -> int:
-    y = _read_matrix(args.infile, args)
+    y = _read(Matrix, args.infile, args)
     fac = factor_rank_s(y, args.s)
     if args.porcelain:
         print(f"s={fac.s}")
@@ -92,8 +77,8 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_adapt(args) -> int:
-    x = _read_matrix(args.x, args)
-    y = _read_matrix(args.y, args)
+    x = _read(Matrix, args.x, args)
+    y = _read(Matrix, args.y, args)
     fac = adapted_factor(x, y, args.s)
     if args.porcelain:
         print(f"case={fac.case_tag}")
@@ -122,7 +107,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    delta = _read_delta(args.delta, args)
+    delta = _read(DeltaMap, args.delta, args)
     d = extract_derivation(delta, args.s)
     if args.porcelain:
         print(f"A={_pm(d.A)}")
@@ -134,8 +119,9 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _require_seed_if_sampled(args)
-    delta = _read_delta(args.delta, args)
+    if args.mode == "sampled" and args.seed is None:
+        raise UsageError("sampled mode requires --seed")
+    delta = _read(DeltaMap, args.delta, args)
     report = verify_hypothesis(delta, args.s, mode=args.mode,
                                count=args.count, seed=args.seed,
                                pairs=args.pairs)
@@ -153,7 +139,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    delta = _read_delta(args.delta, args)
+    delta = _read(DeltaMap, args.delta, args)
     result = extend_to_low_ranks(delta, s=args.s)
     if args.out:
         Path(args.out).write_text(result.delta.to_text())
@@ -174,8 +160,7 @@ def _cmd_extend(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
-    _require_seed_if_sampled(args)
-    delta = _read_delta(args.delta, args)
+    delta = _read(DeltaMap, args.delta, args)
     report = reconstruct_full(delta, delta.n, count=args.count, seed=args.seed)
     d = report.derivation
     if args.porcelain:
@@ -311,10 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("reconstruct", help="extract a derivation and check it "
                                             "against delta on the full ring")
     sp.add_argument("--delta", required=True, help="delta table file")
-    sp.add_argument("--mode", choices=["exhaustive", "sampled"],
-                    default="exhaustive")
-    sp.add_argument("--count", type=int, default=1000)
-    sp.add_argument("--seed", type=int)
+    sp.add_argument("--count", type=int, default=1000,
+                    help="sample count over an infinite field")
+    sp.add_argument("--seed", type=int,
+                    help="seed (required over an infinite field)")
     _add_common(sp, field=True, n=True)
     sp.set_defaults(handler=_cmd_reconstruct)
 

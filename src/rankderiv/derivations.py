@@ -15,10 +15,12 @@ arithmetic.
 
 ``extract_derivation`` recovers the canonical pair from a map that obeys
 the product rule on pairs of rank-s matrices: it reads the images of the
-unit matrices, checks the structural identities any genuine such map must
-satisfy (raising ExtractionError naming the first one that fails), and
+unit matrices once, checks the structural identities any genuine such map
+must satisfy (raising ExtractionError naming the first one that fails), and
 materializes mu either as a total table (finite fields) or by probing and
-fitting (infinite fields).
+fitting (infinite fields).  A product with a unit matrix only selects a row
+or a column, so each identity, A and mu are read off single entries of
+those images; no matrix product or bracket is formed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 from . import _kronecker
 from .errors import (DomainError, PreconditionError, ExtractionError,
-                     ResourceLimitError, UsageError)
+                     UsageError, guard)
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
 from .fields import Field, FieldDerivation, RationalFunctionField
 from .matrix import Matrix, enumerate_rank_k, random_rank_k, rank_count_formula
@@ -287,9 +289,6 @@ class DeltaMap:
         return DeltaMap(self.n, self.field, self.domain,
                         fn=lambda m: value if m.rows == key else inner(m))
 
-    def restricted(self, domain: DeltaDomain) -> "DeltaMap":
-        return DeltaMap(self.n, self.field, domain, fn=self._fn, table=self._table)
-
     def __eq__(self, other):
         if not isinstance(other, DeltaMap):
             return NotImplemented
@@ -309,11 +308,8 @@ class DeltaMap:
         canonical entry order.  Finite fields only."""
         if not self.field.is_finite:
             raise UsageError("cannot tabulate a map over an infinite field")
-        total = sum(rank_count_formula(self.n, k, self.field.order)
-                    for k in self.domain.ranks(self.n))
-        if total > self._WRITE_GUARD:
-            raise ResourceLimitError(
-                f"domain has {total} matrices; refusing to tabulate")
+        guard(_rank_total(self.n, self.domain.ranks(self.n), self.field.order),
+              self._WRITE_GUARD, "matrices", "tabulation")
         pairs = []
         for k in self.domain.ranks(self.n):
             for x in enumerate_rank_k(self.n, k, self.field):
@@ -409,13 +405,10 @@ def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
 VERIFY_GUARD = 10 ** 6
 
 
-def _guard_enumeration(n: int, ranks, q: int, what: str):
-    """Refuse more than ``VERIFY_GUARD`` matrices of these ranks, counted
-    by ``rank_count_formula`` before anything is enumerated."""
-    total = sum(rank_count_formula(n, k, q) for k in ranks)
-    if total > VERIFY_GUARD:
-        raise ResourceLimitError(
-            f"{total} matrices exceed the {VERIFY_GUARD} exhaustive {what} guard")
+def _rank_total(n: int, ranks, q: int) -> int:
+    """How many n x n matrices over F_q have these ranks: what exhaustive
+    paths guard on before they enumerate anything."""
+    return sum(rank_count_formula(n, k, q) for k in ranks)
 
 
 @dataclass(frozen=True)
@@ -472,12 +465,9 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
         if pairs == "rank-s":
             total = rank_count_formula(n, s, q) ** 2
         else:
-            total = 2 * (sum(rank_count_formula(n, k, q) for k in (0, 1))
-                         * sum(rank_count_formula(n, k, q) for k in range(s + 1)))
-        if total > VERIFY_GUARD:
-            raise ResourceLimitError(
-                f"{total} pairs exceed the {VERIFY_GUARD} exhaustive verification "
-                f"guard; use sampled verification instead")
+            total = 2 * _rank_total(n, (0, 1), q) * _rank_total(n, range(s + 1), q)
+        guard(total, VERIFY_GUARD, "pairs", "exhaustive verification",
+              "; use sampled verification instead")
         if pairs == "rank-s":
             xs = list(enumerate_rank_k(n, s, fld))
             ys = xs
@@ -571,7 +561,8 @@ def extend_to_low_ranks(delta: DeltaMap, s: int | None = None) -> ExtensionResul
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")
     if not fld.is_finite:
         raise UsageError("extension tabulates the domain; needs a finite field")
-    _guard_enumeration(n, range(s + 1), fld.order, "extension")
+    guard(_rank_total(n, range(s + 1), fld.order), VERIFY_GUARD, "matrices",
+          "exhaustive extension")
     table = {}
     for x in enumerate_rank_k(n, s, fld):
         table[x] = delta(x)
@@ -612,32 +603,37 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
             f"no probe has a nonzero derivative, so mu over {fld.spec()} is "
             f"undetermined; probe an element such as t")
     units = [[Matrix.unit(fld, n, i, j) for j in range(n)] for i in range(n)]
-    zero_m = Matrix.zero(fld, n)
+    zero = fld.zero
+
+    def image(x):
+        # delta(x), checked as an operand of a product with x would be
+        d = delta(x)
+        x._check(d)
+        return d
 
     d_diag = [delta(units[i][i]) for i in range(n)]
     for i in range(n):
-        d = d_diag[i]
-        e = units[i][i]
-        if d != e * d + d * e:
+        units[i][i]._check(d_diag[i])
+        d = d_diag[i].rows
+        # d = e_ii d + d e_ii: zero off row and column i; d_ii = 2 d_ii
+        if any(d[r][c] != zero for r in range(n) for c in range(n)
+               if (r == i) == (c == i)):
             raise ExtractionError(
                 "idempotent-image",
                 f"delta(e_{i}{i}) is not of the sandwich form required by "
                 f"the product rule at (e_{i}{i}, e_{i}{i})")
     for i in range(n):
         for j in range(n):
-            if i != j and units[i][i] * d_diag[j] + d_diag[i] * units[j][j] != zero_m:
+            # with the images sandwiched, only (i, j) can be nonzero
+            if i != j and fld.add(d_diag[j][i, j], d_diag[i][i, j]) != zero:
                 raise ExtractionError(
                     "orthogonal-idempotents",
                     f"e_{i}{i} delta(e_{j}{j}) + delta(e_{i}{i}) e_{j}{j} != 0")
 
-    b = zero_m
-    for i in range(n):
-        b = b + d_diag[i] * units[i][i]
-
     lam = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            d = d_diag[i] if i == j else delta(units[i][j])
+            d = d_diag[i] if i == j else image(units[i][j])
             lam[i][j] = d[i, j]
     for i in range(n):
         if lam[i][i] != fld.zero:
@@ -653,15 +649,14 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
                         "lambda-cocycle",
                         f"lambda_{i}{k} != lambda_{i}{j} + lambda_{j}{k}")
 
-    a = b
-    for j in range(n):
-        if lam[j][0] != fld.zero:
-            a = a + units[j][j].scaled(lam[j][0])
+    # column c of A is column c of delta(e_cc) (zero at (c, c)), plus
+    # lambda_c0 at (c, c)
+    a = Matrix._raw(fld, [[lam[r][0] if r == c else d_diag[c][r, c]
+                           for c in range(n)] for r in range(n)])
 
     def mu_value(elem):
-        x = units[0][0].scaled(elem)
-        residual = delta(x) - _bracket(a, x)
-        return residual[0, 0]
+        # [A, elem e_00] is zero at (0, 0): the field is commutative
+        return image(units[0][0].scaled(elem))[0, 0]
 
     if fld.is_finite:
         mu = FieldDerivation.from_table(fld, {e: mu_value(e) for e in fld.elements()})
@@ -725,7 +720,8 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
             f"rank set {ranks} has minimum 0 (n = 2^m - 1); the covering "
             f"construction does not apply at n={n}")
     if fld.is_finite:
-        _guard_enumeration(n, range(n + 1), fld.order, "reconstruction")
+        guard(_rank_total(n, range(n + 1), fld.order), VERIFY_GUARD, "matrices",
+              "exhaustive reconstruction")
     derivation = extract_derivation(delta, s_min, probes=probes)
     member = set(ranks)
     gaps = tuple(k for k in range(s_min + 1, n)

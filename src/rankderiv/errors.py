@@ -36,3 +36,11 @@ class ExtractionError(RankderivError, ValueError):
 
 class ResourceLimitError(RankderivError, RuntimeError):
     """An exhaustive operation would exceed its size guard."""
+
+
+def guard(total: int, limit: int, things: str, what: str, hint: str = ""):
+    """Refuse an exhaustive operation whose predicted ``total`` exceeds
+    ``limit``: "N <things> exceed the L <what> guard", then ``hint``."""
+    if total > limit:
+        raise ResourceLimitError(
+            f"{total} {things} exceed the {limit} {what} guard{hint}")

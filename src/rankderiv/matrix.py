@@ -486,8 +486,10 @@ def enumerate_rank_k(n: int, k: int, field: Field):
     """Yield every rank-k matrix of M_n over a finite field exactly once,
     in lexicographic row-major entry order.
 
-    Implemented as a depth-first scan over rows with incremental row-space
-    pruning, so the cost scales with the output count rather than q^(n*n).
+    Implemented as a depth-first scan over rows that keeps the span of the
+    rows chosen so far as a set of at most q^k row tuples: a row is dependent
+    exactly when it lies in the span.  Prefixes that cannot reach rank k are
+    pruned, so the cost scales with the output count rather than q^(n*n).
     """
     if not field.is_finite:
         raise UsageError(f"cannot enumerate matrices over infinite field {field.spec()}")
@@ -498,39 +500,25 @@ def enumerate_rank_k(n: int, k: int, field: Field):
     p = field.p
     vectors = list(itertools.product(range(p), repeat=n))
 
-    def reduce_row(v, basis):
-        w = list(v)
-        for pc, br in basis:
-            if w[pc]:
-                f = w[pc]
-                for j in range(pc, n):
-                    w[j] = (w[j] - f * br[j]) % p
-        for j in range(n):
-            if w[j]:
-                return j, w
-        return -1, w
-
-    def rec(level, chosen, basis):
+    def rec(level, chosen, span, r):
         if level == n:
             yield Matrix._raw(field, chosen)
             return
         remaining = n - level - 1
-        r = len(basis)
         for v in vectors:
-            pc, w = reduce_row(v, basis)
-            if pc < 0:
+            if v in span:
                 if r + remaining < k:
                     continue
-                yield from rec(level + 1, chosen + [v], basis)
+                yield from rec(level + 1, chosen + [v], span, r)
             else:
                 if r + 1 > k:
                     continue
-                inv = pow(w[pc], -1, p)
-                norm = [(c * inv) % p for c in w]
-                nb = sorted(basis + [(pc, norm)])
-                yield from rec(level + 1, chosen + [v], nb)
+                # the span after the last row is never read
+                grown = {tuple((a + c * b) % p for a, b in zip(u, v))
+                         for u in span for c in range(p)} if remaining else span
+                yield from rec(level + 1, chosen + [v], grown, r + 1)
 
-    yield from rec(0, [], [])
+    yield from rec(0, [], {(0,) * n}, 0)
 
 
 def enumerate_all(n: int, field: Field):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .derivations import DeltaDomain, DeltaMap
-from .errors import PreconditionError, ResourceLimitError, UsageError
+from .errors import PreconditionError, UsageError, guard
 from .matrix import Matrix, _gen_rref, enumerate_rank_k, rank_count_formula
 
 __all__ = [
@@ -75,15 +75,10 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")
     q = field.order
     unknowns = sum(rank_count_formula(n, k, q) for k in range(s + 1)) * n * n
-    if unknowns > UNKNOWN_GUARD:
-        raise ResourceLimitError(
-            f"{unknowns} unknowns exceed the {UNKNOWN_GUARD} guard; "
-            f"use sampled verification instead")
-    blocks = rank_count_formula(n, s, q) ** 2
-    if blocks > BLOCK_GUARD:
-        raise ResourceLimitError(
-            f"{blocks} equation blocks exceed the {BLOCK_GUARD} guard; "
-            f"use sampled verification instead")
+    hint = "; use sampled verification instead"
+    guard(unknowns, UNKNOWN_GUARD, "unknowns", "solver", hint)
+    guard(rank_count_formula(n, s, q) ** 2, BLOCK_GUARD, "equation blocks",
+          "solver", hint)
     domain = []
     for k in range(s + 1):
         domain.extend(enumerate_rank_k(n, k, field))
@@ -192,9 +187,7 @@ def rank_count(n: int, k: int, field) -> int:
     if not field.is_finite:
         raise UsageError("rank counting requires a finite field")
     expected = rank_count_formula(n, k, field.order)
-    if expected > COUNT_GUARD:
-        raise ResourceLimitError(
-            f"{expected} matrices exceed the {COUNT_GUARD} enumeration guard")
+    guard(expected, COUNT_GUARD, "matrices", "enumeration")
     count = sum(1 for _ in enumerate_rank_k(n, k, field))
     if count != expected:
         raise RuntimeError(

@@ -243,6 +243,29 @@ def test_reconstruct_pass_and_fail(capsys, ad_e12_full_file, tmp_path):
     assert "failure z=[1 1 0 0] rank=1" in out
 
 
+def test_reconstruct_mode_follows_the_field(capsys, ad_e12_full_file, tmp_path):
+    """reconstruct has no --mode: a finite-field table is checked
+    exhaustively whatever the seed, and only an infinite-field table, which
+    is sampled, needs --seed."""
+    code, _, err = run_cli(capsys, "reconstruct", "--delta", ad_e12_full_file,
+                           "--mode", "sampled", "--seed", "1")
+    assert code == 2
+    assert "unrecognized arguments: --mode" in err
+    code, out, _ = run_cli(capsys, "reconstruct", "--delta", ad_e12_full_file,
+                           "--seed", "1", "--count", "3")
+    assert code == 0
+    assert "checked 16 matrices" in out
+    path = tmp_path / "zero_q.delta"
+    path.write_text("delta n 2 field Q domain full\n"
+                    "1 0 0 0 -> 0 0 0 0\n"
+                    "0 1 0 0 -> 0 0 0 0\n"
+                    "0 0 1 0 -> 0 0 0 0\n"
+                    "0 0 0 1 -> 0 0 0 0\n")
+    code, out, err = run_cli(capsys, "reconstruct", "--delta", str(path))
+    assert code == 2
+    assert "sampled reconstruction requires a seed" in err
+
+
 # -- solve ---------------------------------------------------------------------
 
 def test_solve_prints_dimension_and_basis(capsys):

@@ -475,6 +475,120 @@ def test_extract_diagnoses_lambda_violations(F3):
     assert err.value.identity in ("lambda-cocycle", "lambda-antisymmetry")
 
 
+def test_extract_diagnoses_orthogonal_idempotents(F2):
+    # delta(e_00) = e_01 has the sandwich form, but with delta(e_11) = 0 the
+    # product rule at (e_00, e_11) reads 0 = e_00 * 0 + e_01 * e_11 = e_01
+    delta = make_delta(CanonicalDerivation(Matrix.zero(F2, 2)))
+    bad = delta.override(Matrix.unit(F2, 2, 0, 0), Matrix.unit(F2, 2, 0, 1))
+    with pytest.raises(ExtractionError) as err:
+        extract_derivation(bad, 1)
+    assert err.value.identity == "orthogonal-idempotents"
+
+
+def test_extract_refuses_values_of_the_wrong_ring(F2, F3):
+    for value in (Matrix.zero(F2, 3), Matrix.zero(F3, 2)):
+        delta = DeltaMap.from_function(2, F2, DeltaDomain.full(),
+                                       lambda x, value=value: value)
+        with pytest.raises(UsageError):
+            extract_derivation(delta, 1)
+    # only the value read for mu is of the wrong size
+    e00 = Matrix.unit(F2, 2, 0, 0)
+    delta = make_delta(CanonicalDerivation(Matrix.unit(F2, 2, 0, 1)))
+    bad = DeltaMap.from_function(
+        2, F2, DeltaDomain.full(),
+        lambda x: Matrix.zero(F2, 3) if x.rows == e00.scaled(0).rows else delta(x))
+    with pytest.raises(UsageError):
+        extract_derivation(bad, 1)
+
+
+def _reference_extract(delta, points):
+    """Extraction with each identity stated as ``Matrix`` products and sums
+    of unit matrices: the identity that fails first, or (A, mu at points)."""
+    n, fld = delta.n, delta.field
+    e = _units(fld, n)
+    zero = Matrix.zero(fld, n)
+    d = [delta(e[i, i]) for i in range(n)]
+    for i in range(n):
+        if d[i] != e[i, i] * d[i] + d[i] * e[i, i]:
+            return "idempotent-image"
+    for i in range(n):
+        for j in range(n):
+            if i != j and e[i, i] * d[j] + d[i] * e[j, j] != zero:
+                return "orthogonal-idempotents"
+    lam = {(i, j): (d[i] if i == j else delta(e[i, j]))[i, j]
+           for i in range(n) for j in range(n)}
+    for i in range(n):
+        if lam[i, i] != fld.zero:
+            return "lambda-diagonal"
+    for i in range(n):
+        for j in range(n):
+            if lam[i, j] != fld.neg(lam[j, i]):
+                return "lambda-antisymmetry"
+            for k in range(n):
+                if lam[i, k] != fld.add(lam[i, j], lam[j, k]):
+                    return "lambda-cocycle"
+    a = zero
+    for i in range(n):
+        a = a + d[i] * e[i, i] + e[i, i].scaled(lam[i, 0])
+    mu = {}
+    for c in points:
+        x = e[0, 0].scaled(c)
+        mu[c] = (delta(x) - (a * x - x * a))[0, 0]
+    return a, mu
+
+
+def _logged(delta, log):
+    return DeltaMap.from_function(delta.n, delta.field, delta.domain,
+                                  lambda x: log.append(x.rows) or delta(x))
+
+
+def test_extract_matches_the_product_form_of_each_identity(F2, F3, Q):
+    """Seeded maps with one value replaced: a random matrix, a random matrix
+    of the sandwich form at e_ii, or a random matrix that keeps the entry
+    lambda is read from; the library and the reference name the same failed
+    identity or give the same derivation, after the same evaluations."""
+    import random as _random
+
+    probes = [Fraction(1), Fraction(2, 3), Fraction(-3)]
+    outcomes = set()
+    for field, n, s in ((F2, 2, 1), (F2, 4, 2), (F3, 2, 1), (F3, 3, 1),
+                        (Q, 2, 1), (Q, 3, 1)):
+        points = list(field.elements()) if field.is_finite else probes
+        for seed in range(40):
+            rng = _random.Random(f"extract-diff|{field.spec()}|{n}|{seed}")
+            delta = make_delta(CanonicalDerivation.random(field, n, seed=seed))
+            i, j = rng.randrange(n), rng.randrange(n)
+            x = Matrix.unit(field, n, i, j)
+            if rng.random() < 0.15:
+                x = x.scaled(rng.choice(points[1:]) if field.is_finite
+                             else rng.choice(probes))
+            kind = rng.choice(("random", "sandwich", "keep"))
+            rows = [[field.random_element(rng) for _ in range(n)] for _ in range(n)]
+            for r in range(n):
+                for c in range(n):
+                    if kind == "sandwich" and (r == i) == (c == j):
+                        rows[r][c] = field.zero
+                    if kind == "keep" and (r, c) == (i, j):
+                        rows[r][c] = delta(x)[i, j]
+            bad = delta.override(x, Matrix(field, rows))
+            ref_log, log = [], []
+            want = _reference_extract(_logged(bad, ref_log), points)
+            try:
+                got = extract_derivation(_logged(bad, log), s,
+                                         probes=() if field.is_finite else probes)
+            except ExtractionError as exc:
+                assert exc.identity == want, (field.spec(), n, seed)
+                outcomes.add(want)
+            else:
+                a, mu = want
+                assert got.A == a, (field.spec(), n, seed)
+                assert [got.mu(c) for c in points] == [mu[c] for c in points]
+                outcomes.add("derivation")
+            assert log == ref_log, (field.spec(), n, seed)
+    assert outcomes == {"idempotent-image", "orthogonal-idempotents",
+                        "lambda-antisymmetry", "lambda-cocycle", "derivation"}
+
+
 def test_extract_mu_probe_table_when_unfittable(Qt):
     d = CanonicalDerivation(Matrix.zero(Qt, 2))
     delta = make_delta(d)

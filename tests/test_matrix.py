@@ -177,10 +177,17 @@ def test_enumerate_matches_brute_force_counts():
             assert counts == [rank_count_formula(n, k, p) for k in range(n + 1)]
 
 
-def test_enumerate_order_is_lexicographic(F2):
-    stream = [m.rows for m in enumerate_rank_k(2, 1, F2)]
-    brute = [rows for rows in all_matrices_mod(2, 2) if ref_rank_mod(rows, 2) == 1]
-    assert stream == brute
+def test_enumerate_order_is_lexicographic():
+    """Every rank over F2 n <= 3, F3 n <= 2 and F5 n = 2: the stream is the
+    brute-force rank filter of all matrices, in the same order."""
+    from rankderiv import parse_field
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)):
+        field = parse_field(f"F{p}")
+        brute = list(all_matrices_mod(n, p))
+        for k in range(n + 1):
+            stream = [m.rows for m in enumerate_rank_k(n, k, field)]
+            assert stream == [rows for rows in brute
+                              if ref_rank_mod(rows, p) == k], (p, n, k)
 
 
 def test_enumerate_infinite_field_rejected(Q):
