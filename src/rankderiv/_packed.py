@@ -11,8 +11,11 @@ on all n entries, as long as no byte (a "slot") overflows into the next.
 * Over an odd p slot sums are left unreduced, and each result row is
   reduced once, through the 256-byte ``bytes.translate`` table of v -> v % p
   (the delayed reduction of FFLAS-FFPACK).  The largest unreduced slot sum
-  is the one of the bracket A x + x (p - A), n (p-1) (2p-1), so a (p, n)
-  packs only when that is at most 255: F_3 up to n = 25, F_5 up to n = 7,
+  is the one of ``mul2``'s a b + c d, with b canonical and the slots of d
+  at most p: n (p-1) (p-1) + n (p-1) p = n (p-1) (2p-1).  Both the product
+  rule's delta(x) y + x delta(y) and the bracket A x - x A, as
+  A x + x (-A) with ``neg``, are such sums, so a (p, n) packs only when
+  that bound is at most 255: F_3 up to n = 25, F_5 up to n = 7,
   F_7 up to n = 3, F_11 at n = 1.  Every other (p, n) has no packed space,
   and its matrices use the generic elimination of ``matrix.py``.
 
@@ -42,7 +45,8 @@ INTERN_ROWS = 4096
 
 
 def fits(p: int, n: int) -> bool:
-    """Whether every slot sum of every packed operation stays within a byte."""
+    """Whether every slot sum of every packed operation stays within a byte:
+    the largest is ``mul2``'s, n (p-1) (p-1) + n (p-1) p."""
     return p == 2 or n * (p - 1) * (2 * p - 1) <= SLOT
 
 
@@ -141,18 +145,26 @@ class Space:
             return self._bits(packed), packed
         return self._reduce([sum(map(mul, ra, b)) for ra in a_rows])
 
-    def bracket(self, a_rows, a, x_rows, x):
-        """[A, x] = A x - x A in one pass, one reduction per output row."""
+    def neg(self, packed):
+        """Packed rows of -M with every slot p - v in [1, p], so nothing
+        borrows; over F_2 -M is M.  Only ``mul2``'s d takes such slots."""
+        if self.p == 2:
+            return packed
+        pones = self.p * self.ones
+        return [pones - r for r in packed]
+
+    def mul2(self, a_rows, b, c_rows, d):
+        """a b + c d in one pass, one reduction per output row: ``a_rows`` and
+        ``c_rows`` are rows, ``b`` canonical packed rows and ``d`` packed rows
+        with slots at most p (canonical, or from ``neg``)."""
         compress = itertools.compress
         if self.p == 2:
-            packed = tuple([reduce(xor, compress(x, ra), 0)
-                             ^ reduce(xor, compress(a, rx), 0)
-                             for ra, rx in zip(a_rows, x_rows)])
+            packed = tuple([reduce(xor, compress(b, ra), 0)
+                            ^ reduce(xor, compress(d, rc), 0)
+                            for ra, rc in zip(a_rows, c_rows)])
             return self._bits(packed), packed
-        pones = self.p * self.ones
-        neg_a = [pones - r for r in a]
-        return self._reduce([sum(map(mul, ra, x)) + sum(map(mul, rx, neg_a))
-                             for ra, rx in zip(a_rows, x_rows)])
+        return self._reduce([sum(map(mul, ra, b)) + sum(map(mul, rc, d))
+                             for ra, rc in zip(a_rows, c_rows)])
 
     # -- elimination ------------------------------------------------------------
 

@@ -5,13 +5,16 @@ A ``CanonicalDerivation`` is a pair (A, mu): the map
 ``x -> A x - x A + entrywise mu(x)``.  A ``DeltaMap`` is any evaluable
 matrix-to-matrix assignment with a declared domain (full ring, rank <= s,
 rank exactly s, or the sparse cover-rank union); evaluating outside the
-domain raises DomainError.
+domain raises DomainError.  A table's keys are checked against its domain
+when the table is stored (``from_table``, ``from_text``, ``override``), so a
+lookup that finds its key computes no rank.
 
-``apply_derivation`` computes the bracket on packed rows over small prime
-fields (``_packed``).  Over Q and Q(t), when every entry of A, x and the
-d/dt scale is a polynomial, it computes [A, x] + c dx/dt on integers at
-t = 2^B (``_kronecker``).  Every other input takes generic ``Matrix``
-arithmetic.
+``apply_derivation`` computes the bracket A x + x (-A) on packed rows over
+small prime fields (``_packed.Space.mul2``), the pass that also forms the
+product rule's delta(x) y + x delta(y) (``matrix.product_sum``).  Over Q
+and Q(t), when every entry of A, x and the d/dt scale is a polynomial, it
+computes [A, x] + c dx/dt on integers at t = 2^B (``_kronecker``).  Every
+other input takes generic ``Matrix`` arithmetic.
 
 ``extract_derivation`` recovers the canonical pair from a map that obeys
 the product rule on pairs of rank-s matrices: it reads the images of the
@@ -33,7 +36,8 @@ from .errors import (DomainError, PreconditionError, ExtractionError,
                      UsageError, guard)
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
 from .fields import Field, FieldDerivation, RationalFunctionField
-from .matrix import Matrix, enumerate_rank_k, random_rank_k, rank_count_formula
+from .matrix import (Matrix, enumerate_rank_k, product_sum, random_rank_k,
+                     rank_count_formula)
 
 __all__ = [
     "CanonicalDerivation",
@@ -150,8 +154,9 @@ def _bracket(a: Matrix, x: Matrix) -> Matrix:
     f = a.field
     sp = a._space()
     if sp is not None:
+        neg_a = sp.neg(a._packed_rows(sp))
         return Matrix._from_packed(
-            f, sp.bracket(a.rows, a._packed_rows(sp), x.rows, x._packed_rows(sp)))
+            f, sp.mul2(a.rows, x._packed_rows(sp), x.rows, neg_a))
     if _kronecker.handles(f):
         rows = _kronecker.apply(a, x)
         if rows is not None:
@@ -190,14 +195,16 @@ class DeltaDomain:
     def cor31_union(cls):
         return cls("cor31-union")
 
-    def contains(self, rank: int, n: int) -> bool:
+    def contains(self, x: Matrix) -> bool:
+        """Whether x lies in the domain; a full domain computes no rank."""
         if self.kind == "full":
             return True
+        rank = x.rank()
         if self.kind == "rank-leq":
             return rank <= self.s
         if self.kind == "rank-exact":
             return rank == self.s
-        return rank in rank_set(n)
+        return rank in rank_set(x.n)
 
     def ranks(self, n: int) -> list:
         if self.kind == "full":
@@ -229,8 +236,9 @@ class DeltaMap:
 
     Backed either by a closure or by a finite table keyed on the input
     matrix's rows (entries are canonical, so equal matrices have equal
-    rows).  Evaluation validates the argument and its rank against the
-    domain.
+    rows).  Evaluation validates the argument, and its rank against the
+    domain; a table lookup that hits skips the rank, since every stored
+    key lies in the domain.
     """
 
     __slots__ = ("n", "field", "domain", "_fn", "_table")
@@ -249,10 +257,14 @@ class DeltaMap:
     @classmethod
     def from_table(cls, n: int, field: Field, domain: DeltaDomain,
                    entries) -> "DeltaMap":
-        """``entries``: mapping or iterable of (input Matrix, output Matrix)."""
+        """``entries``: mapping or iterable of (input Matrix, output Matrix),
+        every input in ``domain`` (UsageError otherwise)."""
         items = entries.items() if hasattr(entries, "items") else entries
         table = {}
         for x, v in items:
+            if not domain.contains(x):
+                raise UsageError(f"delta table key [{x.encode()}] lies outside "
+                                 f"domain {domain.token()}")
             table[x.rows] = v
         return cls(n, field, domain, table=table)
 
@@ -266,22 +278,29 @@ class DeltaMap:
                 or x.n != self.n):
             if not isinstance(x, Matrix) or x.field != self.field or x.n != self.n:
                 raise UsageError("delta map argument has the wrong field or size")
-        # a full domain contains every rank, so it computes none
-        if self.domain.kind != "full" and not self.domain.contains(x.rank(), self.n):
-            raise DomainError(
-                f"matrix of rank {x.rank()} outside delta domain {self.domain.token()}")
-        if self._table is not None:
-            try:
-                return self._table[x.rows]
-            except KeyError:
-                raise DomainError(
-                    f"delta table has no entry for [{x.encode()}]") from None
+        table = self._table
+        if table is not None:
+            value = table.get(x.rows)
+            if value is not None:
+                return value
+        # a full domain contains every matrix, so it computes no rank
+        if self.domain.kind != "full" and not self.domain.contains(x):
+            raise self._outside(x)
+        if table is not None:
+            raise DomainError(f"delta table has no entry for [{x.encode()}]")
         return self._fn(x)
 
+    def _outside(self, x: Matrix) -> DomainError:
+        return DomainError(
+            f"matrix of rank {x.rank()} outside delta domain {self.domain.token()}")
+
     def override(self, x: Matrix, value: Matrix) -> "DeltaMap":
-        """A copy of this map with one value replaced."""
+        """A copy of this map with one value replaced; a table refuses a key
+        outside its domain with the DomainError evaluating it raises."""
         key = x.rows
         if self._table is not None:
+            if not self.domain.contains(x):
+                raise self._outside(x)
             table = dict(self._table)
             table[key] = value
             return DeltaMap(self.n, self.field, self.domain, table=table)
@@ -357,7 +376,7 @@ class DeltaMap:
             if x.rows in table:
                 raise UsageError(
                     f"duplicate delta table record for [{x.encode()}] on line {lineno}")
-            if domain.kind != "full" and not domain.contains(x.rank(), n):
+            if not domain.contains(x):
                 raise UsageError(
                     f"delta table record for [{x.encode()}] on line {lineno} lies "
                     f"outside domain {domain.token()}")
@@ -436,7 +455,7 @@ def _product_rule_violation(delta, x, y, dx=None, dy=None):
     dx = delta(x) if dx is None else dx
     dy = delta(y) if dy is None else dy
     lhs = delta(x * y)
-    rhs = dx * y + x * dy
+    rhs = product_sum(dx, y, x, dy)
     return None if lhs == rhs else (x, y, lhs, rhs)
 
 
@@ -570,9 +589,9 @@ def extend_to_low_ranks(delta: DeltaMap, s: int | None = None) -> ExtensionResul
     for k in range(s):
         for y in enumerate_rank_k(n, k, fld):
             f1 = factor_rank_s(y, s)
-            v1 = delta(f1.y1) * f1.y2 + f1.y1 * delta(f1.y2)
+            v1 = product_sum(delta(f1.y1), f1.y2, f1.y1, delta(f1.y2))
             f2 = second_factor_rank_s(y, s)
-            v2 = delta(f2.y1) * f2.y2 + f2.y1 * delta(f2.y2)
+            v2 = product_sum(delta(f2.y1), f2.y2, f2.y1, delta(f2.y2))
             if v1 != v2:
                 inconsistencies.append(y)
             table[y] = v1
@@ -709,7 +728,8 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
 
     Exhaustive over finite fields (refused with ResourceLimitError, before
     extracting, above ``VERIFY_GUARD`` matrices); sampled (``count``
-    points, seed required) otherwise."""
+    points, seed required, refused before extracting without one)
+    otherwise."""
     if delta.n != n:
         raise UsageError(f"delta is over n={delta.n}, not n={n}")
     fld = delta.field
@@ -722,6 +742,8 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
     if fld.is_finite:
         guard(_rank_total(n, range(n + 1), fld.order), VERIFY_GUARD, "matrices",
               "exhaustive reconstruction")
+    elif seed is None:
+        raise UsageError("sampled reconstruction requires a seed")
     derivation = extract_derivation(delta, s_min, probes=probes)
     member = set(ranks)
     gaps = tuple(k for k in range(s_min + 1, n)
@@ -736,7 +758,7 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
         dz = delta(z)
         if r in gaps:
             f = factor_rank_s(z, cover_rank(n, r))
-            if dz != delta(f.y1) * f.y2 + f.y1 * delta(f.y2):
+            if dz != product_sum(delta(f.y1), f.y2, f.y1, delta(f.y2)):
                 failures.append((z, r, "product-rule"))
                 return
         if dz != apply_derivation(derivation, z):
@@ -747,8 +769,6 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
             for z in enumerate_rank_k(n, k, fld):
                 check(z)
     else:
-        if seed is None:
-            raise UsageError("sampled reconstruction requires a seed")
         rng = random.Random(f"rankderiv.reconstruct|{fld.spec()}|{n}|{seed}")
         for _ in range(count):
             k = rng.randint(0, n)

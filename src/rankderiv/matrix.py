@@ -11,11 +11,13 @@ rows and the rank and rank normal form use XOR elimination; the rank normal
 form's P and Q come with their packed rows, and ``factor.py`` builds the
 factors from them with a byte mask or zeroed rows, so they are never
 packed again.  Over an odd p byte-wise sums are reduced mod p once per
-result row.  Packing needs every unreduced byte sum to stay below 256.  The largest one is the bracket's,
-n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25, F_5 up to
-n = 7 and F_7 up to n = 3.  Other prime-field matrices, and the odd-p rank
-normal form and every nullspace, use the generic elimination below with
-``PrimeField`` operations.
+result row.  ``product_sum`` forms a b + c d, the right side of the
+product rule, in one such pass.  Packing needs every unreduced byte sum to
+stay below 256.  The largest one is that of a b + c d, n (p-1) (2p-1), so
+F_2 packs at every n, F_3 up to n = 25, F_5 up to n = 7 and F_7 up to
+n = 3.  Other prime-field matrices, and the odd-p rank normal form and
+every nullspace, use the generic elimination below with ``PrimeField``
+operations.
 
 Over Q and Q(t) the rank is the integer rank of the matrix cleared to
 integer polynomials and evaluated at t = 2^B (``_kronecker``); a matrix
@@ -318,6 +320,22 @@ def mat_arith(a: Matrix, b: Matrix, op: str) -> Matrix:
     if op == "mul":
         return a * b
     raise UsageError(f"unknown matrix op {op!r}")
+
+
+def product_sum(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
+    """a b + c d, with the checks of ``a * b + c * d``; over a packed prime
+    field in one pass with one reduction per output row (``Space.mul2``)."""
+    a._check(b)
+    c._check(d)
+    a._check(c)
+    sp = a._space()
+    if sp is None:
+        return a * b + c * d
+    # packing checks the entries ``mul2`` reads unpacked
+    a._packed_rows(sp)
+    c._packed_rows(sp)
+    return Matrix._from_packed(a.field, sp.mul2(a.rows, b._packed_rows(sp),
+                                                c.rows, d._packed_rows(sp)))
 
 
 # ---------------------------------------------------------------------------

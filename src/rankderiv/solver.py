@@ -75,10 +75,8 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")
     q = field.order
     unknowns = sum(rank_count_formula(n, k, q) for k in range(s + 1)) * n * n
-    hint = "; use sampled verification instead"
-    guard(unknowns, UNKNOWN_GUARD, "unknowns", "solver", hint)
-    guard(rank_count_formula(n, s, q) ** 2, BLOCK_GUARD, "equation blocks",
-          "solver", hint)
+    guard(unknowns, UNKNOWN_GUARD, "unknowns", "solver")
+    guard(rank_count_formula(n, s, q) ** 2, BLOCK_GUARD, "equation blocks", "solver")
     domain = []
     for k in range(s + 1):
         domain.extend(enumerate_rank_k(n, k, field))

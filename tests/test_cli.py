@@ -233,7 +233,8 @@ def test_reconstruct_pass_and_fail(capsys, ad_e12_full_file, tmp_path):
     assert code == 0
     assert "pass" in out
     # perturb one rank-1 value
-    delta = DeltaMap.from_text(open(ad_e12_full_file).read())
+    with open(ad_e12_full_file) as fh:
+        delta = DeltaMap.from_text(fh.read())
     z = Matrix(F2, [[1, 1], [0, 0]])
     bad = delta.override(z, delta(z) + Matrix.identity(F2, 2))
     path = tmp_path / "bad.delta"

@@ -151,6 +151,43 @@ def test_delta_table_missing_entry(F2):
         delta(Matrix.unit(F2, 2, 1, 1))
 
 
+def test_delta_table_hit_computes_no_rank(F2):
+    # every stored key lies in the domain, so a lookup that finds its key
+    # needs no rank; a miss still ranks its argument for the domain error
+    d = CanonicalDerivation.random(F2, 2, seed=2)
+    delta = DeltaMap.from_text(derivation_delta(d, DeltaDomain.rank_leq(1)).to_text())
+    x = Matrix(F2, [[1, 1], [0, 0]])
+    assert delta(x) == apply_derivation(d, x)
+    assert x._rank is None
+    y = Matrix.identity(F2, 2)
+    with pytest.raises(DomainError, match=r"^matrix of rank 2 outside delta domain rank-leq\(1\)$"):
+        delta(y)
+    assert y._rank == 2
+
+
+def test_delta_from_table_refuses_keys_outside_domain(F2):
+    e00 = Matrix.unit(F2, 2, 0, 0)
+    one = Matrix.identity(F2, 2)
+    with pytest.raises(UsageError, match=r"key \[1 0 0 1\] lies outside domain rank-leq\(1\)$"):
+        DeltaMap.from_table(2, F2, DeltaDomain.rank_leq(1),
+                            {e00: Matrix.zero(F2, 2), one: Matrix.zero(F2, 2)})
+    with pytest.raises(UsageError, match=r"key \[0 0 0 0\] lies outside domain rank-exact\(1\)$"):
+        DeltaMap.from_table(2, F2, DeltaDomain.rank_exact(1),
+                            [(Matrix.zero(F2, 2), Matrix.zero(F2, 2))])
+    full = DeltaMap.from_table(2, F2, DeltaDomain.full(), {one: e00})
+    assert full(one) == e00
+
+
+def test_delta_table_override_refuses_keys_outside_domain(F2):
+    d = CanonicalDerivation.random(F2, 2, seed=3)
+    delta = DeltaMap.from_text(derivation_delta(d, DeltaDomain.rank_leq(1)).to_text())
+    one = Matrix.identity(F2, 2)
+    with pytest.raises(DomainError, match=r"^matrix of rank 2 outside delta domain rank-leq\(1\)$"):
+        delta.override(one, Matrix.zero(F2, 2))
+    e00 = Matrix.unit(F2, 2, 0, 0)
+    assert delta.override(e00, one)(e00) == one
+
+
 def test_delta_table_text_round_trip(F2):
     d = CanonicalDerivation.random(F2, 2, seed=2)
     delta = derivation_delta(d, DeltaDomain.rank_leq(1))
@@ -671,6 +708,24 @@ def test_reconstruct_guard_refuses_before_enumerating(F2, monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match="33554432 matrices exceed the 1000000 exhaustive reconstruction guard"):
         reconstruct_full(delta, 5)
+
+
+def test_reconstruct_refuses_missing_seed_before_extracting(Q):
+    """Over an infinite field reconstruction samples, which needs a seed;
+    without one it is refused before delta is evaluated at all."""
+    d = CanonicalDerivation.random(Q, 2, seed=17)
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return apply_derivation(d, x)
+
+    delta = DeltaMap.from_function(2, Q, DeltaDomain.full(), fn)
+    with pytest.raises(UsageError, match="sampled reconstruction requires a seed"):
+        reconstruct_full(delta, 2)
+    assert calls == []
+    assert reconstruct_full(delta, 2, count=5, seed=1).passed
+    assert calls
 
 
 def test_reconstruct_rejects_degenerate_rank_set(F2):

@@ -1,7 +1,8 @@
 """Prime-field matrices against the reference list kernels.
 
-Every packed operation (add, sub, mul, the bracket of ``apply_derivation``,
-rank, the F_2 rank normal form and the F_2 nullspace) must give exactly
+Every packed operation (add, sub, mul, the fused a b + c d of
+``product_sum`` and of the bracket in ``apply_derivation``, rank, the F_2
+rank normal form and the F_2 nullspace) must give exactly
 what ``_kernels_py`` gives, including the RNF transforms P and Q and their
 packed rows.  So must the generic elimination that serves the rest: the
 odd-p rank normal form, every nullspace and rref, square or rectangular,
@@ -11,6 +12,7 @@ at all.
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +25,7 @@ from rankderiv import (
 )
 from rankderiv import _kernels_py as lists
 from rankderiv import _packed
+from rankderiv.matrix import product_sum
 
 
 def _rows(m):
@@ -75,6 +78,74 @@ def _check_binary(field, a, b, packs=True):
     A = D.A.rows
     want = lists.mat_sub(lists.mat_mul(A, b, p), lists.mat_mul(b, A, p), p)
     assert apply_derivation(D, Matrix._raw(field, b)).rows == _rows(want)
+
+
+def _check_product_sum(field, a, b, c, d, packs=True):
+    """``product_sum`` is a b + c d; in a packed space ``mul2`` with d
+    replaced by ``neg(d)``, whose slots reach p, is a b - c d."""
+    p = field.p
+    ab, cd = lists.mat_mul(a, b, p), lists.mat_mul(c, d, p)
+    ms = [Matrix._raw(field, m) for m in (a, b, c, d)]
+    assert product_sum(*ms).rows == _rows(lists.mat_add(ab, cd, p))
+    assert (ms[3]._fastrep is not None) == packs
+    sp = _packed.space(p, len(a))
+    if sp is not None:
+        rows, packed = sp.mul2(a, sp.pack(b), c, sp.neg(sp.pack(d)))
+        assert rows == _rows(lists.mat_sub(ab, cd, p))
+        assert packed is None or packed == sp.pack(rows)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 2)])
+def test_product_sum_every_pair(p, n):
+    # a b + b a and a a + b b for every ordered pair (a, b)
+    field = parse_field(f"F{p}")
+    mats = list(_all(n, p))
+    for a in mats:
+        for b in mats:
+            _check_product_sum(field, a, b, b, a)
+            _check_product_sum(field, a, a, b, b)
+
+
+@pytest.mark.parametrize("p, n", [(5, 7), (3, 25)])
+def test_product_sum_at_slot_bound(p, n):
+    # the constant p - 1 matrices against neg of the zero matrix reach the
+    # largest slot sum, n (p-1) (p-1) + n (p-1) p = 255 at F_3 n = 25
+    assert n * (p - 1) * (2 * p - 1) <= 255
+    field = parse_field(f"F{p}")
+    mats = _seeded(n, p, 12 if n < 10 else 4, "mul2")
+    zero, top = mats[0], mats[2]
+    _check_product_sum(field, top, top, top, zero)
+    for i, a in enumerate(mats):
+        b, c, d = (mats[(i + k) % len(mats)] for k in (1, 2, 3))
+        _check_product_sum(field, a, b, c, d)
+
+
+def test_product_sum_past_slot_bound():
+    for p, n in ((3, 26), (7, 4), (4294967311, 4)):
+        field = parse_field(f"F{p}")
+        mats = _seeded(n, p, 6, "mul2-past")
+        for i, a in enumerate(mats):
+            b, c, d = (mats[(i + k) % len(mats)] for k in (1, 2, 3))
+            _check_product_sum(field, a, b, c, d, packs=False)
+
+
+def test_product_sum_over_q():
+    field = parse_field("Q")
+    rng = random.Random("product_sum|Q")
+
+    def draw():
+        return [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(3)]
+                for _ in range(3)]
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3)]
+                for i in range(3)]
+
+    for _ in range(40):
+        a, b, c, d = draw(), draw(), draw(), draw()
+        want = [[u + v for u, v in zip(ru, rv)] for ru, rv in zip(mul(a, b), mul(c, d))]
+        got = product_sum(*(Matrix(field, m) for m in (a, b, c, d)))
+        assert got.rows == _rows(want)
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 2)])
@@ -225,6 +296,8 @@ def test_uncanonical_entries_are_refused(p, n):
     good = Matrix.identity(field, n)
     D = CanonicalDerivation(good)
     for op in (lambda: good * bad, lambda: bad * good, lambda: bad + good,
-               lambda: bad.rank(), lambda: apply_derivation(D, bad)):
+               lambda: bad.rank(), lambda: apply_derivation(D, bad),
+               lambda: product_sum(bad, good, good, good),
+               lambda: product_sum(good, good, bad, good)):
         with pytest.raises(UsageError, match="not canonical"):
             op()

@@ -52,6 +52,14 @@ def test_system_guard(F3):
         build_constraint_system(6, 3, F3)
 
 
+@pytest.mark.parametrize("n, s, counted", [(5, 2, "unknowns"), (4, 1, "equation blocks")])
+def test_system_guard_messages_end_at_the_guard(F3, n, s, counted):
+    # sampled verification checks one map and computes no solution space,
+    # so the solver's refusals point nowhere else
+    with pytest.raises(ResourceLimitError, match=rf"^\d+ {counted} exceed the \d+ solver guard$"):
+        build_constraint_system(n, s, F3)
+
+
 def test_system_needs_finite_field(Q):
     with pytest.raises(UsageError):
         build_constraint_system(2, 1, Q)
