@@ -27,6 +27,21 @@ interned table also packs rows by lookup.  Rank normal forms are packed
 over F_2 only; they return P and Q with their packed rows, and the factors
 built from them (``factor.py``) zero columns with a byte mask and rows with
 a 0, in every packed space, so no factor is packed twice.
+
+A space that interns its rows also brackets with a fixed A by table
+lookup (``bracket_rows``, ``bracket``): [A, x] = sum_i T_i[x_i], where
+T_i[r] = [A, E_i(r)] and E_i(r) is the matrix whose row i is r and whose
+other rows are zero.  Each entry is one int of n^2 slots, row k in slots
+n k .. n k + n - 1.  Over F_2 the sum is an XOR.  Over an odd p an entry
+is left unreduced, A E_i(r) + E_i(r) (-A) with -A's slots in [1, p], so
+the n entries of a bracket sum to A x + x (-A) slot by slot: at most
+n (p-1) (p-1) + n (p-1) p, the bound of ``mul2`` that ``fits`` imposes,
+and the sum is reduced and decoded once.  The tables are filled on first
+lookup and are owned by the derivation that built them
+(``derivations.CanonicalDerivation``); at most n p^n entries, 49,152 at
+F_2, n = 12, the most of any space.  A's rows are checked and packed once,
+when its tables are made, and an entry is built from them with a few
+integer operations (``BracketRows``), about one row of ``mul2``.
 """
 
 from __future__ import annotations
@@ -166,6 +181,42 @@ class Space:
         return self._reduce([sum(map(mul, ra, b)) + sum(map(mul, rc, d))
                              for ra, rc in zip(a_rows, c_rows)])
 
+    # -- the bracket with a fixed A ------------------------------------------------
+
+    def bracket_rows(self, a_rows):
+        """The row tables T_0 .. T_{n-1} of [A, .] for the matrix with rows
+        ``a_rows``, empty until looked up (``BracketRows``), or None when
+        A's entries are not canonical residues.  Only a space that interns
+        its rows has them."""
+        try:
+            a_packed = self.pack(a_rows)
+        except UsageError:
+            return None
+        n = self.n
+        # row i of T_i[r] holds -r A, summed from -A's slots in [1, p]
+        minus = a_packed if self.p == 2 else tuple(self.neg(a_packed))
+        # A_ki moved from slot n k + i to slot n k, for every k
+        a = int.from_bytes(bytes(itertools.chain.from_iterable(a_rows)), "little")
+        first = int.from_bytes((b"\xff" + bytes(n - 1)) * n, "little")
+        return tuple([BracketRows(self, minus, a >> 8 * i & first, 8 * n * i)
+                      for i in range(n)])
+
+    def bracket(self, tables, x_rows):
+        """``(rows, packed)`` of [A, x] = sum_i T_i[x_i] for the row tables
+        ``tables`` of A.  Over F_2 the sum is an XOR.  Over an odd p it is
+        A x + x (-A) unreduced, within the bound of ``mul2`` that ``fits``
+        imposes, and is reduced once."""
+        n = self.n
+        if self.p == 2:
+            total = reduce(xor, map(dict.__getitem__, tables, x_rows))
+            mask = (1 << 8 * n) - 1
+            packed = tuple([total >> shift & mask for shift in range(0, 8 * n * n, 8 * n)])
+            return self._bits(packed), packed
+        raw = sum(map(dict.__getitem__, tables, x_rows)).to_bytes(
+            n * n, "little").translate(self.mod)
+        intern = self.intern
+        return tuple([intern[raw[k:k + n]] for k in range(0, n * n, n)]), None
+
     # -- elimination ------------------------------------------------------------
 
     def rank(self, packed) -> int:
@@ -284,3 +335,36 @@ class Space:
             p[t] = c | units[pos]
         p, q = tuple(p), tuple(q)
         return (self._bits(p), p), r, (self._bits(q), q)
+
+
+class BracketRows(dict):
+    """T_i of a fixed A: row r -> [A, E_i(r)] as one int of n^2 slots,
+    built on the first lookup of r, so a derivation applied to m matrices
+    holds at most n m entries and never more than n p^n (49,152 at F_2,
+    n = 12).  An entry costs a handful of integer operations: the product
+    of r's packed row with ``column`` (A_ki in slot n k, so row k is A_ki r
+    with no carry) plus, shifted to row i, the sum of the rows of ``minus``
+    that r selects (-r A, unreduced over an odd p)."""
+
+    __slots__ = ("space", "minus", "column", "shift")
+
+    def __init__(self, space, minus, column, shift):
+        self.space = space
+        self.minus = minus
+        self.column = column
+        self.shift = shift
+
+    def __missing__(self, r):
+        sp = self.space
+        try:
+            rp = sp.packed[r]
+        except KeyError:
+            raise UsageError(
+                f"matrix entries are not canonical residues mod {sp.p}") from None
+        if sp.p == 2:
+            entry = rp * self.column ^ (
+                reduce(xor, itertools.compress(self.minus, r), 0) << self.shift)
+        else:
+            entry = rp * self.column + (sum(map(mul, r, self.minus)) << self.shift)
+        self[r] = entry
+        return entry

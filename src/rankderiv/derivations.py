@@ -6,12 +6,28 @@ A ``CanonicalDerivation`` is a pair (A, mu): the map
 matrix-to-matrix assignment with a declared domain (full ring, rank <= s,
 rank exactly s, or the sparse cover-rank union); evaluating outside the
 domain raises DomainError.  A table's keys are checked against its domain
-when the table is stored (``from_table``, ``from_text``, ``override``), so a
-lookup that finds its key computes no rank.
+once, when the table is stored (the constructor, ``from_table``,
+``from_text``, ``override``), so a lookup that finds its key computes no
+rank.  Over a finite field ``from_text`` also refuses a table that leaves
+out a matrix of its domain.
 
-``apply_derivation`` computes the bracket A x + x (-A) on packed rows over
-small prime fields (``_packed.Space.mul2``), the pass that also forms the
-product rule's delta(x) y + x delta(y) (``matrix.product_sum``).  Over Q
+``apply_derivation`` over a packed prime field whose space interns its rows
+(p^n <= ``_packed.INTERN_ROWS``) computes the bracket as
+[A, x] = sum_i T_i[x_i], with T_i[r] = [A, E_i(r)] and E_i(r) the matrix
+whose row i is r and whose other rows are zero: n lookups, one XOR or slot
+sum, one reduction (the "method of the Four Russians" of M4RI: Albrecht,
+Bard and Hart, ACM TOMS 2010; layout and bound in ``_packed``).  The
+tables belong to the derivation: a ``CanonicalDerivation`` resolves its
+ring once, when it is built, and fills a table entry on the first lookup
+of its row, so a derivation applied to m matrices holds at most n m
+entries, never more than n p^n (49,152 at F_2, n = 12), and they die with
+it.  Building an entry costs about one row of the fused pass below, so the
+tables pay off as rows recur among the matrices one derivation brackets;
+a bracket whose rows are all new costs about as much as the fused pass,
+and a derivation applied to a single matrix also pays for making them.
+Past the intern bound the bracket is A x + x (-A) in one packed pass
+(``_packed.Space.mul2``), the pass that also forms the product rule's
+delta(x) y + x delta(y) (``matrix.product_sum``).  Over Q
 and Q(t), when every entry of A, x and the d/dt scale is a polynomial, it
 computes [A, x] + c dx/dt on integers at t = 2^B (``_kronecker``).  Every
 other input takes generic ``Matrix`` arithmetic.
@@ -61,7 +77,7 @@ class CanonicalDerivation:
     zero (0, 0) entry (subtracting a scalar multiple of the identity does
     not change the map)."""
 
-    __slots__ = ("A", "mu")
+    __slots__ = ("A", "mu", "_ring")
 
     def __init__(self, A: Matrix, mu: FieldDerivation | None = None):
         field = A.field
@@ -74,6 +90,7 @@ class CanonicalDerivation:
             A = A - Matrix.identity(field, A.n).scaled(corner)
         self.A = A
         self.mu = mu
+        self._ring = _fixed_a_ring(A)
 
     @property
     def n(self) -> int:
@@ -131,17 +148,33 @@ class CanonicalDerivation:
         return cls(a, mu)
 
 
+def _fixed_a_ring(a: Matrix):
+    """``(space, row tables)`` of the bracket with A when A's packed space
+    interns its rows (``_packed.Space.bracket_rows``), else None; an A with
+    entries that are not canonical has none, and ``_bracket`` refuses it."""
+    sp = a._space()
+    if sp is None or sp.intern is None:
+        return None
+    tables = sp.bracket_rows(a.rows)
+    return None if tables is None else (sp, tables)
+
+
 def apply_derivation(D: CanonicalDerivation, x: Matrix) -> Matrix:
     """A x - x A + entrywise mu(x)."""
     a = D.A
     a._check(x)
     f = a.field
     mu = D.mu
-    if mu.kind == "dt" and _kronecker.handles(f):
-        rows = _kronecker.apply(a, x, mu.scale)
-        if rows is not None:
-            return Matrix._raw(f, rows)
-    out = _bracket(a, x)
+    ring = D._ring
+    if ring is not None:
+        sp, tables = ring
+        out = Matrix._from_packed(f, sp.bracket(tables, x.rows))
+    else:
+        if mu.kind == "dt" and _kronecker.handles(f):
+            rows = _kronecker.apply(a, x, mu.scale)
+            if rows is not None:
+                return Matrix._raw(f, rows)
+        out = _bracket(a, x)
     if not mu.is_zero():
         out = out + Matrix._raw(f, [[mu(e) for e in row] for row in x.rows])
     return out
@@ -207,12 +240,14 @@ class DeltaDomain:
         return rank in rank_set(x.n)
 
     def ranks(self, n: int) -> list:
+        """The ranks of the n x n matrices in the domain: a declared s above
+        n adds none."""
         if self.kind == "full":
             return list(range(n + 1))
         if self.kind == "rank-leq":
-            return list(range(self.s + 1))
+            return list(range(min(self.s, n) + 1))
         if self.kind == "rank-exact":
-            return [self.s]
+            return [self.s] if self.s <= n else []
         return sorted(rank_set(n))
 
     def token(self) -> str:
@@ -244,11 +279,28 @@ class DeltaMap:
     __slots__ = ("n", "field", "domain", "_fn", "_table")
 
     def __init__(self, n, field, domain, fn=None, table=None):
+        """``table``: mapping of input rows to output Matrix, every input in
+        ``domain`` (UsageError otherwise)."""
+        if table is not None:
+            table = _checked_table(domain, ((Matrix._raw(field, key), v)
+                                            for key, v in table.items()))
         self.n = n
         self.field = field
         self.domain = domain
         self._fn = fn
         self._table = table
+
+    @classmethod
+    def _stored(cls, n, field, domain, table) -> "DeltaMap":
+        """A table map whose keys the caller has checked against ``domain``,
+        so that no key is ranked twice."""
+        self = object.__new__(cls)
+        self.n = n
+        self.field = field
+        self.domain = domain
+        self._fn = None
+        self._table = table
+        return self
 
     @classmethod
     def from_function(cls, n: int, field: Field, domain: DeltaDomain, fn) -> "DeltaMap":
@@ -260,13 +312,7 @@ class DeltaMap:
         """``entries``: mapping or iterable of (input Matrix, output Matrix),
         every input in ``domain`` (UsageError otherwise)."""
         items = entries.items() if hasattr(entries, "items") else entries
-        table = {}
-        for x, v in items:
-            if not domain.contains(x):
-                raise UsageError(f"delta table key [{x.encode()}] lies outside "
-                                 f"domain {domain.token()}")
-            table[x.rows] = v
-        return cls(n, field, domain, table=table)
+        return cls._stored(n, field, domain, _checked_table(domain, items))
 
     @property
     def is_table(self) -> bool:
@@ -303,7 +349,7 @@ class DeltaMap:
                 raise self._outside(x)
             table = dict(self._table)
             table[key] = value
-            return DeltaMap(self.n, self.field, self.domain, table=table)
+            return DeltaMap._stored(self.n, self.field, self.domain, table)
         inner = self._fn
         return DeltaMap(self.n, self.field, self.domain,
                         fn=lambda m: value if m.rows == key else inner(m))
@@ -381,7 +427,28 @@ class DeltaMap:
                     f"delta table record for [{x.encode()}] on line {lineno} lies "
                     f"outside domain {domain.token()}")
             table[x.rows] = grid(halves[1])
-        return cls(n, fld, domain, table=table)
+        if fld.is_finite:
+            # the keys are distinct and in the domain, so equal counts
+            # mean every matrix of the domain has its record
+            expected = _rank_total(n, domain.ranks(n), fld.order)
+            if len(table) != expected:
+                raise UsageError(
+                    f"delta table has {len(table)} records, but domain "
+                    f"{domain.token()} over {fld.spec()} at n={n} has "
+                    f"{expected} matrices")
+        return cls._stored(n, fld, domain, table)
+
+
+def _checked_table(domain: DeltaDomain, items) -> dict:
+    """The table of (input Matrix, output Matrix) pairs keyed on the input's
+    rows; UsageError at the first input outside ``domain``."""
+    table = {}
+    for x, v in items:
+        if not domain.contains(x):
+            raise UsageError(f"delta table key [{x.encode()}] lies outside "
+                             f"domain {domain.token()}")
+        table[x.rows] = v
+    return table
 
 
 def derivation_delta(D: CanonicalDerivation,

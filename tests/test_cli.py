@@ -169,6 +169,21 @@ def test_verify_rejects_duplicate_records(capsys, tmp_path):
     assert "duplicate delta table record for [0 0 0 0] on line 4" in err
 
 
+def test_verify_rejects_incomplete_table(capsys, tmp_path):
+    # a solved basis table with one record removed covers 9 of the 10
+    # matrices of rank <= 1
+    code, out, _ = run_cli(capsys, "solve", "--field", "F2", "--n", "2", "--s", "1")
+    assert code == 0
+    lines = out.split("\n\n")[1].splitlines()
+    del lines[5]
+    path = tmp_path / "part.delta"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "verify", "--delta", str(path), "--s", "1")
+    assert code == 2
+    assert out == ""
+    assert "delta table has 9 records, but domain rank-leq(1) over F2 at n=2 has 10 matrices" in err
+
+
 def test_verify_sampled_needs_seed(capsys, ad_e12_full_file):
     code, _, err = run_cli(capsys, "verify", "--delta", ad_e12_full_file,
                            "--s", "1", "--mode", "sampled")

@@ -178,6 +178,38 @@ def test_delta_from_table_refuses_keys_outside_domain(F2):
     assert full(one) == e00
 
 
+def test_delta_map_constructor_refuses_keys_outside_domain(F2):
+    # a table handed to the constructor is checked like any other: a hit no
+    # longer ranks its argument, so an unchecked rank-2 key would be served
+    one, zero = Matrix.identity(F2, 2), Matrix.zero(F2, 2)
+    with pytest.raises(UsageError, match=r"key \[1 0 0 1\] lies outside domain rank-leq\(1\)$"):
+        DeltaMap(2, F2, DeltaDomain.rank_leq(1), table={one.rows: zero})
+    e00 = Matrix.unit(F2, 2, 0, 0)
+    delta = DeltaMap(2, F2, DeltaDomain.rank_leq(1), table={e00.rows: one})
+    assert delta(e00) == one
+
+
+def test_delta_table_keys_checked_once(F2, monkeypatch):
+    d = CanonicalDerivation.random(F2, 2, seed=5)
+    text = derivation_delta(d, DeltaDomain.rank_leq(1)).to_text()
+    pairs = [(x, apply_derivation(d, x)) for k in (0, 1) for x in enumerate_rank_k(2, k, F2)]
+    calls = []
+    contains = DeltaDomain.contains
+    monkeypatch.setattr(DeltaDomain, "contains",
+                        lambda self, x: calls.append(x.rows) or contains(self, x))
+    delta = DeltaMap.from_text(text)
+    assert len(calls) == len(pairs) == 10
+    calls.clear()
+    delta.override(pairs[1][0], pairs[0][1])
+    assert len(calls) == 1
+    calls.clear()
+    DeltaMap.from_table(2, F2, DeltaDomain.rank_leq(1), pairs)
+    assert len(calls) == 10
+    calls.clear()
+    DeltaMap(2, F2, DeltaDomain.rank_leq(1), table={x.rows: v for x, v in pairs})
+    assert len(calls) == 10
+
+
 def test_delta_table_override_refuses_keys_outside_domain(F2):
     d = CanonicalDerivation.random(F2, 2, seed=3)
     delta = DeltaMap.from_text(derivation_delta(d, DeltaDomain.rank_leq(1)).to_text())
@@ -244,6 +276,30 @@ def test_delta_table_out_of_domain_record_rejected(F2):
             "0 0 0 0 -> 0 0 0 0\n")
     with pytest.raises(UsageError, match=r"\[0 0 0 0\] on line 2 lies outside domain rank-exact\(1\)$"):
         DeltaMap.from_text(text)
+
+
+def test_delta_table_text_must_cover_its_domain(F2):
+    # a finite-field table that leaves a matrix out is refused at load
+    d = CanonicalDerivation.random(F2, 2, seed=7)
+    lines = derivation_delta(d, DeltaDomain.rank_leq(1)).to_text().splitlines()
+    del lines[3]
+    with pytest.raises(UsageError,
+                       match=r"^delta table has 9 records, but domain rank-leq\(1\) "
+                             r"over F2 at n=2 has 10 matrices$"):
+        DeltaMap.from_text("\n".join(lines) + "\n")
+
+
+def test_delta_table_text_with_s_above_n(F2):
+    # rank-leq(3) at n = 2 holds every 2 x 2 matrix, rank-exact(3) none
+    d = CanonicalDerivation.random(F2, 2, seed=7)
+    text = derivation_delta(d, DeltaDomain.full()).to_text()
+    header, body = text.split("\n", 1)
+    loaded = DeltaMap.from_text(header.replace("domain full", "domain rank-leq(3)")
+                                + "\n" + body)
+    assert loaded.to_text() == text.replace("domain full", "domain rank-leq(3)")
+    assert len(loaded.tabulate()) == 16
+    empty = DeltaMap.from_text("delta n 2 field F2 domain rank-exact(3)\n")
+    assert empty.tabulate() == []
 
 
 def test_delta_map_equality_uses_tables(F2):

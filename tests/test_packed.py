@@ -1,13 +1,13 @@
 """Prime-field matrices against the reference list kernels.
 
 Every packed operation (add, sub, mul, the fused a b + c d of
-``product_sum`` and of the bracket in ``apply_derivation``, rank, the F_2
-rank normal form and the F_2 nullspace) must give exactly
-what ``_kernels_py`` gives, including the RNF transforms P and Q and their
-packed rows.  So must the generic elimination that serves the rest: the
-odd-p rank normal form, every nullspace and rref, square or rectangular,
-and every operation at a (p, n) past the slot bound, which must not pack
-at all.
+``product_sum`` and of the bracket past the intern bound, the bracket by
+fixed-A row tables within it, rank, the F_2 rank normal form and the F_2
+nullspace) must give exactly what ``_kernels_py`` gives, including the RNF
+transforms P and Q and their packed rows.  So must the generic elimination
+that serves the rest: the odd-p rank normal form, every nullspace and rref,
+square or rectangular, and every operation at a (p, n) past the slot bound,
+which must not pack at all.
 """
 
 import itertools
@@ -301,3 +301,58 @@ def test_uncanonical_entries_are_refused(p, n):
                lambda: product_sum(good, good, bad, good)):
         with pytest.raises(UsageError, match="not canonical"):
             op()
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 4), (2, 12), (2, 13), (3, 2), (3, 4),
+                                  (3, 7), (3, 8), (5, 2), (5, 5), (5, 6), (7, 2),
+                                  (7, 3)])
+def test_fixed_a_bracket_tables(p, n):
+    # within the intern bound the bracket is n lookups in row tables of A;
+    # past it, A x + x (-A) in one pass; both must give a x - x a
+    field = parse_field(f"F{p}")
+    D = CanonicalDerivation.random(field, n, seed=n)
+    assert (D._ring is not None) == (p ** n <= _packed.INTERN_ROWS)
+    a = D.A
+    xs = _seeded(n, p, 4, "bracket")
+    x = Matrix._raw(field, xs[-1])
+    apply_derivation(D, x)
+    if D._ring is not None:
+        # one matrix fills at most one entry per row table
+        assert sum(map(len, D._ring[1])) <= n
+    for rows in xs:
+        x = Matrix._raw(field, rows)
+        got = apply_derivation(D, x)
+        assert got.rows == (a * x - x * a).rows
+        assert got.rows == _rows(lists.mat_sub(lists.mat_mul(a.rows, rows, p),
+                                               lists.mat_mul(rows, a.rows, p), p))
+        if p == 2:
+            assert got._fastrep == _packed.space(p, n).pack(got.rows)
+    bad = Matrix(field, [[p] + [0] * (n - 1)] + [[0] * n] * (n - 1), canonicalize=False)
+    with pytest.raises(UsageError, match="not canonical"):
+        apply_derivation(D, bad)
+    bad_a = CanonicalDerivation(Matrix(field, [[0] * (n - 1) + [p]] * n, canonicalize=False))
+    with pytest.raises(UsageError, match="not canonical"):
+        apply_derivation(bad_a, Matrix.identity(field, n))
+
+
+@pytest.mark.parametrize("p, n", [(3, 7), (5, 5), (7, 3), (11, 1)])
+def test_fixed_a_bracket_at_slot_bound(p, n):
+    # over an odd p the entries stay unreduced, so the n terms of a bracket
+    # sum to A x + x (-A) before its one reduction.  With x all p - 1 and A
+    # all p - 1 but for zeros below row 0 in the last column, slot (0, n-1)
+    # of that sum is n (p-1)^2 + (n-1) (p-1) p + (p-1), near mul2's bound
+    # n (p-1) (2p-1) (198 of 234 at F_7, n = 3)
+    sp = _packed.space(p, n)
+    mats = _seeded(n, p, 4, "bracket-bound")
+    top = mats[2]
+    peak = top[:1] + tuple(row[:-1] + (0,) for row in top[1:])
+    raw = sum(map(dict.__getitem__, sp.bracket_rows(peak), top))
+    assert raw.to_bytes(n * n, "little")[n - 1] == (
+        n * (p - 1) ** 2 + (n - 1) * (p - 1) * p + (p - 1))
+    for a in (peak, *mats):
+        rows = sp.bracket_rows(a)
+        for x in mats:
+            got, packed = sp.bracket(rows, x)
+            assert packed is None
+            assert got == _rows(lists.mat_sub(lists.mat_mul(a, x, p),
+                                              lists.mat_mul(x, a, p), p))
