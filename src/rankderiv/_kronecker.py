@@ -1,9 +1,16 @@
-"""Matrices over Q and Q(t) as integer matrices at t = 2^B.
+"""Matrices over Q, Q(t) and F_p(t) as integer matrices at t = 2^B.
 
-A matrix whose entries are polynomials with rational coefficients (over Q,
-constants) is held as integer polynomial rows P and one integer
-denominator D >= 1 with M = P / D, cached in ``Matrix._fastrep`` together
-with the largest l1 norm and the largest degree of its entries.
+A matrix whose entries are polynomials (over Q, constants) has an integer
+form ``(P, D, norm, deg)``: integer polynomial rows P and one integer
+denominator D > 0 with M = P / D and gcd(D, every coefficient of P) = 1,
+so that equal matrices have equal forms (FLINT's ``fmpq_mat`` holds a
+rational matrix the same way).  ``norm`` is the largest l1 norm and
+``deg`` the largest degree of an entry of P.  Over F_p(t), D = 1 and the
+coefficients are residues in [0, p).  A matrix's form is cached in
+``Matrix._fastrep`` (``rep``).  A result of ``apply`` or ``product`` holds
+only ``(P, D)`` there until ``rep`` first uses it as an input and adds its
+norm and degree; a result that is only compared or decoded never pays for
+them.  Every other reader of the slot reads P and D alone.
 
 Evaluating an integer polynomial at t = 2^B packs it into one Python int,
 one B-bit slot per coefficient (Kronecker substitution).  When every
@@ -11,38 +18,64 @@ coefficient c of a polynomial has |c| < 2^(B-1), its value at 2^B unpacks
 back into it, slot by slot, with signed slots.  Sums and products of
 polynomials are then sums and products of ints:
 
-* ``apply`` computes [A, x] + c dx/dt from the values of the entries of A,
-  x and dx/dt at 2^B, and unpacks each entry of the result once;
+* ``apply`` computes [A, x] + c dx/dt and ``product`` a product of two
+  matrices of any shapes from the values of their entries at 2^B; each
+  result entry is unpacked once and the result brought to its form once
+  (``_form``): divided by the gcd of D and its coefficients, or over F_p(t)
+  reduced mod p once per coefficient and trimmed;
 * ``rank`` evaluates integer rows at a 2^B where no nonzero minor
-  vanishes, and takes the integer rank by Bareiss elimination.
+  vanishes, and takes the integer rank by Bareiss elimination.  It serves
+  Q and Q(t) only: the integer rank of an F_p(t) matrix is not its rank
+  mod p.
 
-Over Q every polynomial has degree 0, so its value is its one coefficient
-and the same code works on plain integers.  Q(t) matrices with an entry
-that is not a polynomial have no representation: ``apply`` returns None
-for them, and ``rank`` clears each of their rows to polynomials first.
+``Matrix`` wraps a result in a matrix that holds only its form; ``decode``
+gives its canonical rows when they are first read.  Over Q every polynomial
+has degree 0, so its value is its one coefficient and the same code works
+on plain integers.  Matrices with an entry that is not a polynomial have
+no form: ``apply`` returns None for them, and ``rank`` clears each of
+their rows to polynomials first.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .fields import Rationals, RationalFunctionField, _poly_divmod, _poly_gcd_monic, _poly_mul
+from .fields import (PrimeField, Rationals, RationalFunctionField, _poly_divmod,
+                     _poly_gcd_monic, _poly_mul)
 
-__all__ = ["handles", "rep", "rank", "apply"]
+__all__ = ["handles", "ranks", "clear", "rep", "scale", "rank", "int_rank", "apply",
+           "product", "decode"]
 
 
 def handles(field) -> bool:
-    """Whether matrices over ``field`` use this representation."""
+    """Whether matrices over ``field`` have an integer form: Q, Q(t), F_p(t)."""
+    return isinstance(field, (Rationals, RationalFunctionField))
+
+
+def ranks(field) -> bool:
+    """Whether ``rank`` serves ``field``: Q and Q(t)."""
     return isinstance(field, Rationals) or (
         isinstance(field, RationalFunctionField) and isinstance(field.base, Rationals))
 
 
-def _clear(field, rows):
-    """``(polys, den, norm, deg)`` with rows = polys / den, ``norm`` the
-    largest l1 norm and ``deg`` the largest degree of an entry of ``polys``;
-    None if a Q(t) entry is not a polynomial."""
+def _modulus(field):
+    """p over F_p(t), None over Q and Q(t)."""
+    base = getattr(field, "base", None)
+    return base.p if isinstance(base, PrimeField) else None
+
+
+def _finish(polys, den):
+    """The form ``(polys, den, norm, deg)``."""
+    norm = max([sum(map(abs, p)) for row in polys for p in row], default=0)
+    deg = max([len(p) for row in polys for p in row], default=1) - 1
+    return polys, den, norm, deg
+
+
+def clear(field, rows):
+    """The integer form of ``rows`` (any shape), or None if a Q(t) or
+    F_p(t) entry is not a polynomial."""
     if isinstance(field, Rationals):
         coeffs = [[(c,) if c else () for c in row] for row in rows]
     else:
@@ -50,21 +83,31 @@ def _clear(field, rows):
         if any(d != one for row in rows for _, d in row):
             return None
         coeffs = [[num for num, _ in row] for row in rows]
+        if _modulus(field):
+            return _finish(coeffs, 1)
     den = lcm(*[c.denominator for row in coeffs for p in row for c in p])
     polys = [[tuple([c.numerator * (den // c.denominator) for c in p]) for p in row]
              for row in coeffs]
-    norm = max([sum(map(abs, p)) for row in polys for p in row], default=0)
-    deg = max([len(p) for row in polys for p in row], default=1) - 1
-    return polys, den, norm, deg
+    return _finish(polys, den)
 
 
 def rep(m):
-    """The representation of the matrix ``m``, cached in ``m._fastrep``, or
-    False if an entry is not a polynomial."""
+    """The integer form of the matrix ``m``, cached in ``m._fastrep``, or
+    False if an entry is not a polynomial.  A result of ``apply`` or
+    ``product`` holds only ``(P, D)`` until it is first used as an input."""
     r = m._fastrep
     if r is None:
-        r = m._fastrep = _clear(m.field, m.rows) or False
+        r = m._fastrep = clear(m.field, m.rows) or False
+    elif r and len(r) == 2:
+        r = m._fastrep = _finish(*r)
     return r
+
+
+def scale(field, c):
+    """``(poly, den, norm)`` of the field value ``c`` as a 1 x 1 form, the
+    d/dt scale ``apply`` takes; None if ``c`` is not a polynomial."""
+    r = clear(field, [[c]])
+    return None if r is None else (r[0][0][0], r[1], r[2])
 
 
 def _at(poly, bits):
@@ -88,6 +131,46 @@ def _unpack(v, bits):
         out.append(c)
         v = (v - c) >> bits
     return out
+
+
+def _residues(poly, p):
+    """The integer polynomial ``poly`` mod p, trailing zeros trimmed."""
+    out = [c % p for c in poly]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _form(field, vals, ncols, den, bits):
+    """``(P, D)`` of the matrix, ``ncols`` entries a row, whose entries
+    times ``den`` have the values ``vals`` at 2^bits, row-major."""
+    if isinstance(field, Rationals):
+        polys = [(v,) if v else () for v in vals]
+    else:
+        polys = [tuple(_unpack(v, bits)) for v in vals]
+        p = _modulus(field)
+        if p:
+            polys = [_residues(poly, p) for poly in polys]
+    if den > 1:
+        g = gcd(den, *[c for poly in polys for c in poly])
+        if g > 1:
+            polys = [tuple([c // g for c in poly]) for poly in polys]
+            den //= g
+    return [polys[i:i + ncols] for i in range(0, len(polys), ncols)], den
+
+
+def decode(field, form):
+    """The canonical rows of the matrix with integer form ``form``."""
+    polys, den = form[0], form[1]
+    zero = field.zero
+    if isinstance(field, Rationals):
+        return tuple([tuple([Fraction(p[0], den) if p else zero for p in row])
+                      for row in polys])
+    one = field._one_poly
+    if _modulus(field):
+        return tuple([tuple([(p, one) if p else zero for p in row]) for row in polys])
+    return tuple([tuple([(tuple([Fraction(c, den) for c in p]), one) if p else zero
+                         for p in row]) for row in polys])
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +223,8 @@ def _bareiss_rank(m) -> int:
     return rank
 
 
-def rank(field, rows, r=None) -> int:
-    """Rank over ``field`` of a possibly rectangular list of rows; ``r`` is
-    their representation (see ``rep``) when the caller already has it.
+def int_rank(polys) -> int:
+    """Rank of integer polynomial rows ``polys`` (any shape).
 
     Every k x k minor of integer polynomial rows m is a sum, over
     permutations, of products of one entry from each of k rows, so its
@@ -153,9 +235,6 @@ def rank(field, rows, r=None) -> int:
     can only lose rank, so the rank of the integer matrix m(2^B) is the rank
     of m.
     """
-    if r is None:
-        r = _clear(field, rows)
-    polys = r[0] if r else _clear(field, _polynomial_rows(field, rows))[0]
     bound = 1
     for row in polys:
         s = sum([sum(map(abs, p)) for p in row])
@@ -165,28 +244,41 @@ def rank(field, rows, r=None) -> int:
     return _bareiss_rank([[_at(p, bits) for p in row] for row in polys])
 
 
+def rank(field, rows) -> int:
+    """Rank over Q or Q(t) of a possibly rectangular list of rows."""
+    r = clear(field, rows) or clear(field, _polynomial_rows(field, rows))
+    return int_rank(r[0])
+
+
 # ---------------------------------------------------------------------------
-# [A, x] + c dx/dt
+# products and [A, x] + c dx/dt
 # ---------------------------------------------------------------------------
 
-def apply(a, x, scale=None):
-    """Rows of A x - x A + scale * dx/dt for matrices ``a`` and ``x`` over Q
-    or Q(t) and a Q(t) value ``scale`` (None for no d/dt term), or None when
-    an entry of any of them is not a polynomial."""
+def product(field, ra, rb):
+    """``(P, D)`` of the product of the matrices with forms ``ra`` and ``rb``
+    (any compatible shapes)."""
+    pa, da, na, _ = ra
+    pb, db, nb, _ = rb
+    # each coefficient of an entry of PA PB is a sum of len(pb) products of
+    # coefficients, so at most len(pb) na nb: 2^(bits-1) is above it
+    bits = (len(pb) * na * nb).bit_length() + 1
+    A = [[_at(p, bits) for p in row] for row in pa]
+    cols = list(zip(*[[_at(p, bits) for p in row] for row in pb]))
+    vals = [sum(map(mul, ai, bj)) for ai in A for bj in cols]
+    return _form(field, vals, len(cols), da * db, bits)
+
+
+def apply(a, x, dt=None):
+    """``(P, D)`` of A x - x A + c dx/dt for matrices ``a`` and ``x`` over
+    Q, Q(t) or F_p(t), with ``dt`` the ``scale`` of c (None for no d/dt
+    term); None when an entry of ``a`` or ``x`` is not a polynomial."""
     ra, rx = rep(a), rep(x)
     if not ra or not rx:
         return None
     pa, da, na, _ = ra
     px, dx, nx, degx = rx
-    field = a.field
-    n = a.n
-    if scale is None:
-        pc, dc, nc = (), 1, 0
-    else:
-        rc = _clear(field, [[scale]])
-        if rc is None:
-            return None
-        ((pc,),), dc, nc, _ = rc
+    n = len(pa)
+    pc, dc, nc = dt or ((), 1, 0)
     # the result is (dc (PA PX - PX PA) + da PC PX') / (da dx dc).  A product
     # of integer polynomials f g has coefficients at most |f|_1 |g|_1, and
     # |PX'|_1 <= degx |PX|_1, so every coefficient of the numerator is at
@@ -197,26 +289,10 @@ def apply(a, x, scale=None):
     X = [[_at(p, bits) for p in row] for row in px]
     a_cols = list(zip(*A))
     x_cols = list(zip(*X))
+    vals = [sum(map(mul, ai, xc)) - sum(map(mul, xi, ac))
+            for ai, xi in zip(A, X) for xc, ac in zip(x_cols, a_cols)]
     if pc:
         c = da * _at(pc, bits)
-        dX = [[_at([e * v for e, v in enumerate(p)][1:], bits) for p in row] for row in px]
-    den = da * dx * dc
-    q = isinstance(field, Rationals)
-    zero = field.zero
-    one = None if q else field._one_poly
-    out = []
-    for i in range(n):
-        ai, xi = A[i], X[i]
-        row = []
-        for j in range(n):
-            v = sum(map(mul, ai, x_cols[j])) - sum(map(mul, xi, a_cols[j]))
-            if pc:
-                v = dc * v + c * dX[i][j]
-            if q:
-                row.append(Fraction(v, den))
-            elif v:
-                row.append((tuple([Fraction(k, den) for k in _unpack(v, bits)]), one))
-            else:
-                row.append(zero)
-        out.append(row)
-    return out
+        vals = [dc * v + c * _at([e * k for e, k in enumerate(p)][1:], bits)
+                for v, p in zip(vals, [p for row in px for p in row])]
+    return _form(a.field, vals, n, da * dx * dc, bits)

@@ -27,10 +27,13 @@ a bracket whose rows are all new costs about as much as the fused pass,
 and a derivation applied to a single matrix also pays for making them.
 Past the intern bound the bracket is A x + x (-A) in one packed pass
 (``_packed.Space.mul2``), the pass that also forms the product rule's
-delta(x) y + x delta(y) (``matrix.product_sum``).  Over Q
-and Q(t), when every entry of A, x and the d/dt scale is a polynomial, it
-computes [A, x] + c dx/dt on integers at t = 2^B (``_kronecker``).  Every
-other input takes generic ``Matrix`` arithmetic.
+delta(x) y + x delta(y) (``matrix.product_sum``).  Over Q,
+Q(t) and F_p(t), when every entry of A and x is a polynomial, it computes
+[A, x] on integers at t = 2^B (``_kronecker``), with c dx/dt folded in
+when the d/dt scale c is a polynomial, and returns the result in its
+integer form, whose rows are decoded only when read; the derivation
+clears its d/dt scale once, when it is built.  Every other input takes
+generic ``Matrix`` arithmetic.
 
 ``extract_derivation`` recovers the canonical pair from a map that obeys
 the product rule on pairs of rank-s matrices: it reads the images of the
@@ -90,7 +93,7 @@ class CanonicalDerivation:
             A = A - Matrix.identity(field, A.n).scaled(corner)
         self.A = A
         self.mu = mu
-        self._ring = _fixed_a_ring(A)
+        self._ring = _fixed_a_ring(A, mu)
 
     @property
     def n(self) -> int:
@@ -148,10 +151,16 @@ class CanonicalDerivation:
         return cls(a, mu)
 
 
-def _fixed_a_ring(a: Matrix):
-    """``(space, row tables)`` of the bracket with A when A's packed space
-    interns its rows (``_packed.Space.bracket_rows``), else None; an A with
-    entries that are not canonical has none, and ``_bracket`` refuses it."""
+def _fixed_a_ring(a: Matrix, mu: FieldDerivation):
+    """What every bracket with A reuses, resolved once.  Over Q, Q(t) and
+    F_p(t), ``(None, c)``: c is the cleared scale (``_kronecker.scale``)
+    when mu is c d/dt with c a polynomial, else None.  ``(space, row
+    tables)`` when A's packed space interns its rows
+    (``_packed.Space.bracket_rows``).  Else None; an A with entries that
+    are not canonical has no tables, and ``_bracket`` refuses it."""
+    f = a.field
+    if _kronecker.handles(f):
+        return None, _kronecker.scale(f, mu.scale) if mu.kind == "dt" else None
     sp = a._space()
     if sp is None or sp.intern is None:
         return None
@@ -166,15 +175,20 @@ def apply_derivation(D: CanonicalDerivation, x: Matrix) -> Matrix:
     f = a.field
     mu = D.mu
     ring = D._ring
-    if ring is not None:
+    if ring is None:
+        out = _bracket(a, x)
+    elif ring[0] is not None:
         sp, tables = ring
         out = Matrix._from_packed(f, sp.bracket(tables, x.rows))
     else:
-        if mu.kind == "dt" and _kronecker.handles(f):
-            rows = _kronecker.apply(a, x, mu.scale)
-            if rows is not None:
-                return Matrix._raw(f, rows)
-        out = _bracket(a, x)
+        c = ring[1]
+        form = _kronecker.apply(a, x, c)
+        if form is None:
+            out = a * x - x * a
+        elif c is not None:     # the form already holds mu(x)
+            return Matrix._from_form(f, form)
+        else:
+            out = Matrix._from_form(f, form)
     if not mu.is_zero():
         out = out + Matrix._raw(f, [[mu(e) for e in row] for row in x.rows])
     return out
@@ -182,18 +196,13 @@ def apply_derivation(D: CanonicalDerivation, x: Matrix) -> Matrix:
 
 def _bracket(a: Matrix, x: Matrix) -> Matrix:
     """A x - x A; over a packed prime field in one pass, with one reduction
-    per output row and no intermediate matrix, and over Q and Q(t) on
-    integers at t = 2^B when every entry is a polynomial (``_kronecker``)."""
+    per output row and no intermediate matrix."""
     f = a.field
     sp = a._space()
     if sp is not None:
         neg_a = sp.neg(a._packed_rows(sp))
         return Matrix._from_packed(
             f, sp.mul2(a.rows, x._packed_rows(sp), x.rows, neg_a))
-    if _kronecker.handles(f):
-        rows = _kronecker.apply(a, x)
-        if rows is not None:
-            return Matrix._raw(f, rows)
     return a * x - x * a
 
 

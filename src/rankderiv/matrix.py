@@ -19,17 +19,21 @@ n = 3.  Other prime-field matrices, and the odd-p rank normal form and
 every nullspace, use the generic elimination below with ``PrimeField``
 operations.
 
-Over Q and Q(t) the rank is the integer rank of the matrix cleared to
-integer polynomials and evaluated at t = 2^B (``_kronecker``); a matrix
-with polynomial entries caches its cleared form in ``_fastrep``, which
-``apply_derivation`` reuses.  A matrix only ever meets the fast paths of
-its own field, so the slot holds one kind of value per field.  Other
-fields, and the rank normal form and nullspace over Q and Q(t), use the
-generic elimination below: one forward pass, ``_echelon``, whose steps
-give the rank, the reduced echelon form (normalized and back-substituted)
-and the rank normal form.  Every path has the same pivoting rule (first
-nonzero entry in column order), so outputs do not depend on the
-representation.
+Over Q, Q(t) and F_p(t) a matrix with polynomial entries has an integer
+form P / D (``_kronecker``), cached in ``_fastrep``.  Products over these
+fields and ``apply_derivation``'s bracket are computed on integers at
+t = 2^B and return a ``_FormMatrix``, which holds only the form: it
+decodes its canonical rows when they are first read, two of them compare
+their forms as ints, and each hashes its decoded rows.
+Over Q and Q(t) the rank is the integer rank at t = 2^B; over F_p(t) that
+is not the rank mod p, and the rank stays generic.  A matrix only ever
+meets the fast paths of its own field, so the slot holds one kind of value
+per field.  Other fields, and the rank normal form and nullspace over Q,
+Q(t) and F_p(t), use the generic elimination below: one forward pass,
+``_echelon``, whose steps give the rank, the reduced echelon form
+(normalized and back-substituted) and the rank normal form.  Every path
+has the same pivoting rule (first nonzero entry in column order), so
+outputs do not depend on the representation.
 """
 
 from __future__ import annotations
@@ -97,6 +101,18 @@ class Matrix:
         self.n = len(self.rows)
         self._rank = None
         self._rnf = None
+        return self
+
+    @classmethod
+    def _from_form(cls, field: Field, form) -> "Matrix":
+        """Internal constructor from an integer form (``_kronecker``): a
+        ``_FormMatrix``, whose rows are decoded when first read."""
+        self = object.__new__(_FormMatrix)
+        self.field = field
+        self.n = len(form[0])
+        self._rank = None
+        self._rnf = None
+        self._fastrep = form
         return self
 
     @classmethod
@@ -210,6 +226,10 @@ class Matrix:
         if sp is not None:
             self._packed_rows(sp)   # checks the entries ``mul`` reads unpacked
             return Matrix._from_packed(f, sp.mul(self.rows, other._packed_rows(sp)))
+        if _kronecker.handles(f):
+            ra, rb = _kronecker.rep(self), _kronecker.rep(other)
+            if ra and rb:
+                return Matrix._from_form(f, _kronecker.product(f, ra, rb))
         return Matrix._raw(f, _gen_mul(self.rows, other.rows, f))
 
     def __neg__(self):
@@ -231,8 +251,10 @@ class Matrix:
             sp = self._space()
             if sp is not None:
                 self._rank = sp.rank(self._packed_rows(sp))
-            elif _kronecker.handles(self.field):
-                self._rank = _kronecker.rank(self.field, self.rows, _kronecker.rep(self))
+            elif _kronecker.ranks(self.field):
+                r = _kronecker.rep(self)
+                self._rank = (_kronecker.int_rank(r[0]) if r
+                              else _kronecker.rank(self.field, self.rows))
             else:
                 self._rank = _gen_rank(self.rows, self.field)
         return self._rank
@@ -294,6 +316,41 @@ class Matrix:
                 raise UsageError(f"expected {n} entries per row, got {len(lits)}")
             rows.append([field.parse(lit) for lit in lits])
         return cls._raw(field, rows)
+
+
+_ROWS = Matrix.rows    # the slot that a _FormMatrix fills on first read
+
+
+class _FormMatrix(Matrix):
+    """A matrix held as its integer form P / D (``_kronecker``) in
+    ``_fastrep``; its canonical rows are decoded when first read.  Two such
+    matrices compare their forms, which are unique; ``hash`` decodes the
+    rows, as the matrix built from them hashes them.  The lazy rows live
+    here, not in a ``__getattr__`` on ``Matrix``, which would slow every
+    attribute read of every matrix."""
+
+    __slots__ = ()
+
+    @property
+    def rows(self):
+        try:
+            return _ROWS.__get__(self)
+        except AttributeError:
+            rows = _kronecker.decode(self.field, self._fastrep)
+            _ROWS.__set__(self, rows)
+            return rows
+
+    def __eq__(self, other):
+        if other.__class__ is _FormMatrix:
+            r, s = self._fastrep, other._fastrep
+            return (r[1] == s[1] and r[0] == s[0]
+                    and (other.field is self.field or other.field == self.field))
+        return Matrix.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = Matrix.__hash__    # defining __eq__ would clear it
 
 
 @dataclass(frozen=True)
@@ -476,12 +533,6 @@ def _gen_rnf(rows, field):
     return P, len(steps), Q
 
 
-def _rank_rows(rows, field):
-    if _kronecker.handles(field):
-        return _kronecker.rank(field, rows)
-    return _gen_rank(rows, field)
-
-
 def rank_count_formula(n: int, k: int, q: int) -> int:
     """Number of n x n rank-k matrices over F_q by the q-binomial product
     formula: C_q(n,k)^2 * |GL_k(F_q)|."""
@@ -558,8 +609,15 @@ def random_rank_k(n: int, k: int, field: Field, seed: int) -> Matrix:
     if k == 0:
         return Matrix.zero(field, n)
     rng = random.Random(f"rankderiv.random_rank_k|{field.spec()}|{n}|{k}|{seed}")
+    # over Q and Q(t) the factors' integer forms give their ranks and the
+    # product; random elements there are polynomials, so the forms exist
+    kron = _kronecker.ranks(field)
     while True:
         u = [[field.random_element(rng) for _ in range(k)] for _ in range(n)]
         v = [[field.random_element(rng) for _ in range(n)] for _ in range(k)]
-        if _rank_rows(u, field) == k and _rank_rows(v, field) == k:
+        if kron:
+            ru, rv = _kronecker.clear(field, u), _kronecker.clear(field, v)
+            if _kronecker.int_rank(ru[0]) == k and _kronecker.int_rank(rv[0]) == k:
+                return Matrix._from_form(field, _kronecker.product(field, ru, rv))
+        elif _gen_rank(u, field) == k and _gen_rank(v, field) == k:
             return Matrix._raw(field, _gen_mul(u, v, field))

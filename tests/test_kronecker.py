@@ -1,45 +1,105 @@
-"""Kronecker-packed Q and Q(t) matrices (``_kronecker``) against the generic
-field-op elimination (``_gen_rank``) and the generic bracket A x - x A
-(``Matrix`` products), with exact equality throughout."""
+"""Kronecker-packed Q, Q(t) and F_p(t) matrices (``_kronecker``) against the
+generic field-op elimination (``_gen_rank``) and generic products
+(``_gen_mul``), with exact equality throughout.
 
+Inputs come from ``random.Random`` generators seeded by the test's name, so
+they do not depend on anything else in the source tree; ``CASES`` lists
+every drawn family, and ``_examples`` draws one.
+"""
+
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rankderiv import (CanonicalDerivation, FieldDerivation, Matrix, apply_derivation,
                        parse_field)
 from rankderiv import _kronecker
-from rankderiv.matrix import _gen_rank
+from rankderiv.matrix import _FormMatrix, _gen_mul, _gen_rank, random_rank_k
 
 Q = parse_field("Q")
 QT = parse_field("Q(t)")
 T = QT.gen
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+EXAMPLES = 60
 
-# coefficients up to 2^70 in size, so that values at 2^B span several words
-coeffs = st.builds(Fraction,
-                   st.one_of(st.integers(-6, 6), st.integers(-2 ** 70, 2 ** 70)),
-                   st.one_of(st.integers(1, 4), st.integers(1, 2 ** 40)))
-polys = st.lists(coeffs, max_size=4).map(QT.from_poly)
-nonzero_polys = polys.filter(lambda e: e != QT.zero)
-ratfuncs = st.builds(QT.div, polys, nonzero_polys)
+
+# -- seeded inputs --------------------------------------------------------------------
+
+def _int(rng, low, bits):
+    """An int in [low, 2^b] for b drawn uniformly from [1, bits], so that
+    both small and word-spanning values are common."""
+    return rng.randint(low, 2 ** rng.randint(1, bits))
+
+
+def _coeff(rng):
+    """A rational with numerator and denominator each either small or large:
+    coefficients up to 2^70 in size, so that values at 2^B span several words."""
+    num = rng.randint(-6, 6) if rng.random() < 0.75 else _int(rng, 0, 70) * rng.choice((1, -1))
+    den = rng.randint(1, 4) if rng.random() < 0.75 else _int(rng, 1, 40)
+    return Fraction(num, den)
+
+
+def _small_coeff(rng):
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+
+def _poly(rng, coeff=_coeff, max_size=4):
+    return QT.from_poly([coeff(rng) for _ in range(rng.randint(0, max_size))])
+
+
+def _nonzero(draw):
+    """``draw`` of rational functions, redrawn until the numerator is nonzero."""
+    def nonzero(rng):
+        while True:
+            e = draw(rng)
+            if e[0]:
+                return e
+    return nonzero
+
+
+def _small_poly(rng):
+    return _poly(rng, _small_coeff, 3)
+
+
+def _ratfunc(rng):
+    return QT.div(_poly(rng), _nonzero(_poly)(rng))
+
+
 # small ones for the tests whose reference is slow on large rational functions
-small_polys = st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
-                       max_size=3).map(QT.from_poly)
-small_ratfuncs = st.builds(QT.div, small_polys, small_polys.filter(lambda e: e != QT.zero))
+def _small_ratfunc(rng):
+    return QT.div(_small_poly(rng), _nonzero(_small_poly)(rng))
 
 
-def _rows(elements, nrows, ncols):
-    return st.lists(st.lists(elements, min_size=ncols, max_size=ncols),
-                    min_size=nrows, max_size=nrows)
+def _one_of(*draws):
+    return lambda rng: rng.choice(draws)(rng)
 
 
-def _shaped(elements, max_side=4):
-    return st.integers(1, max_side).flatmap(
-        lambda r: st.integers(1, max_side).flatmap(lambda c: _rows(elements, r, c)))
+def _zero_qt(rng):
+    return QT.zero
+
+
+def _zero_q(rng):
+    return Fraction(0)
+
+
+def _none(rng):
+    return None
+
+
+def _rows(rng, draw, nrows, ncols):
+    return [[draw(rng) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _shaped(draw, max_side=4):
+    return lambda rng: _rows(rng, draw, rng.randint(1, max_side), rng.randint(1, max_side))
+
+
+def _square(draw, max_n=4):
+    def square(rng):
+        n = rng.randint(1, max_n)
+        return _rows(rng, draw, n, n), _rows(rng, draw, n, n)
+    return square
 
 
 def _combine(field, rows, weights):
@@ -50,50 +110,106 @@ def _combine(field, rows, weights):
     return out
 
 
-@st.composite
-def planted(draw, elements, weights, square=False):
+def _planted(draw, weight, square=False):
     """Rows of which some are planted as combinations of the others."""
-    k, extra = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-    ncols = k + extra if square else draw(st.integers(1, 4))
-    base = draw(_rows(elements, k, ncols))
-    rows = list(base)
-    for _ in range(extra):
-        ws = draw(st.lists(weights, min_size=k, max_size=k))
-        rows.insert(draw(st.integers(0, len(rows))), _combine(QT, base, ws))
-    return rows
+    def planted(rng):
+        k, extra = rng.randint(1, 3), rng.randint(1, 3)
+        ncols = k + extra if square else rng.randint(1, 4)
+        base = _rows(rng, draw, k, ncols)
+        rows = list(base)
+        for _ in range(extra):
+            ws = [weight(rng) for _ in range(k)]
+            rows.insert(rng.randint(0, len(rows)), _combine(QT, base, ws))
+        return rows
+    return planted
+
+
+def _with_scale(square, scale):
+    return lambda rng: (square(rng), scale(rng))
+
+
+CASES = {
+    "rank_polynomial_rows": _shaped(_one_of(_poly, _zero_qt)),
+    "rank_rows_with_polynomial_denominators":
+        _shaped(_one_of(_ratfunc, _poly, _zero_qt), max_side=3),
+    "rank_planted_dependent_rows": _planted(_one_of(_poly, _small_ratfunc), _small_poly),
+    "matrix_rank_planted_dependent_rows": _planted(_poly, _poly, square=True),
+    "rank_over_q": _shaped(_one_of(_coeff, _zero_q), max_side=5),
+    "apply_over_q_t": _with_scale(_square(_one_of(_poly, _zero_qt)),
+                                  _one_of(_none, _nonzero(_poly))),
+    "apply_over_q": _square(_one_of(_coeff, _zero_q)),
+    "apply_with_denominators_takes_the_generic_path":
+        _with_scale(_square(_one_of(_small_ratfunc, _small_poly), 3),
+                    _one_of(_none, _small_ratfunc)),
+}
+
+
+# the integer-form families: Q, Q(t) and F_p(t), the last with entries up to
+# degree p + 2 (at most 9), where coefficients of d/dt vanish mod p
+P31 = 2 ** 31 - 1
+FORM_SPECS = ["Q", "Q(t)", "F2(t)", "F3(t)", "F7(t)", f"F{P31}(t)"]
+
+
+def _entry(field):
+    if field == Q:
+        return _one_of(_coeff, _zero_q)
+    if field == QT:
+        return _one_of(_poly, _zero_qt)
+    p = field.base.p
+
+    def residue(rng):
+        return rng.randrange(p) if rng.random() < 0.8 else rng.choice((0, 1, p - 1))
+
+    return lambda rng: field.from_poly([residue(rng) for _ in range(rng.randint(0, min(p + 3, 10)))])
+
+
+def _product_shapes(draw):
+    def shapes(rng):
+        r, k, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        return _rows(rng, draw, r, k), _rows(rng, draw, k, c)
+    return shapes
+
+
+for _spec in FORM_SPECS:
+    _field = parse_field(_spec)
+    _scale = _nonzero(_entry(_field)) if _field != Q else _none
+    CASES[f"form_bracket|{_spec}"] = _with_scale(_square(_entry(_field)),
+                                                 _one_of(_none, _scale))
+    CASES[f"form_product|{_spec}"] = _product_shapes(_entry(_field))
+
+
+def _examples(name):
+    """The ``EXAMPLES`` inputs of the family ``name``, each from its own seed."""
+    draw = CASES[name]
+    return [draw(random.Random(f"test_kronecker|{name}|{i}")) for i in range(EXAMPLES)]
 
 
 # -- rank --------------------------------------------------------------------------
 
-@SETTINGS
-@given(_shaped(st.one_of(polys, st.just(QT.zero))))
-def test_rank_polynomial_rows(rows):
-    assert _kronecker.rank(QT, rows) == _gen_rank(rows, QT)
+def test_rank_polynomial_rows():
+    for rows in _examples("rank_polynomial_rows"):
+        assert _kronecker.rank(QT, rows) == _gen_rank(rows, QT)
 
 
-@SETTINGS
-@given(_shaped(st.one_of(ratfuncs, polys, st.just(QT.zero)), max_side=3))
-def test_rank_rows_with_polynomial_denominators(rows):
-    assert _kronecker.rank(QT, rows) == _gen_rank(rows, QT)
+def test_rank_rows_with_polynomial_denominators():
+    for rows in _examples("rank_rows_with_polynomial_denominators"):
+        assert _kronecker.rank(QT, rows) == _gen_rank(rows, QT)
 
 
-@SETTINGS
-@given(planted(st.one_of(polys, small_ratfuncs), small_polys))
-def test_rank_planted_dependent_rows(rows):
-    assert _kronecker.rank(QT, rows) == _gen_rank(rows, QT)
+def test_rank_planted_dependent_rows():
+    for rows in _examples("rank_planted_dependent_rows"):
+        assert _kronecker.rank(QT, rows) == _gen_rank(rows, QT)
 
 
-@SETTINGS
-@given(planted(polys, polys, square=True))
-def test_matrix_rank_planted_dependent_rows(rows):
-    m = Matrix._raw(QT, rows)
-    assert m.rank() == _gen_rank(rows, QT) < m.n
+def test_matrix_rank_planted_dependent_rows():
+    for rows in _examples("matrix_rank_planted_dependent_rows"):
+        m = Matrix._raw(QT, rows)
+        assert m.rank() == _gen_rank(rows, QT) < m.n
 
 
-@SETTINGS
-@given(_shaped(st.one_of(coeffs, st.just(Fraction(0))), max_side=5))
-def test_rank_over_q(rows):
-    assert _kronecker.rank(Q, rows) == _gen_rank(rows, Q)
+def test_rank_over_q():
+    for rows in _examples("rank_over_q"):
+        assert _kronecker.rank(Q, rows) == _gen_rank(rows, Q)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 31, 32, 33, 63, 64, 65, 100])
@@ -120,12 +236,11 @@ def test_rank_zero_and_degree_zero_rows():
 
 # -- [A, x] + c dx/dt ----------------------------------------------------------------
 
-def _reference(d, x):
-    out = d.A * x - x * d.A
-    mu = d.mu
-    if not mu.is_zero():
-        out = out + Matrix._raw(x.field, [[mu(e) for e in row] for row in x.rows])
-    return out
+def _reference(field, a_rows, x_rows, mu):
+    """A x - x A + entrywise mu(x) by generic field operations."""
+    ax, xa = _gen_mul(a_rows, x_rows, field), _gen_mul(x_rows, a_rows, field)
+    return tuple(tuple(field.add(field.sub(p, q), mu(e)) for p, q, e in zip(*rows))
+                 for rows in zip(ax, xa, x_rows))
 
 
 def _check_apply(a_rows, x_rows, field, scale=None):
@@ -133,31 +248,23 @@ def _check_apply(a_rows, x_rows, field, scale=None):
     d = CanonicalDerivation(Matrix._raw(field, a_rows), mu)
     x = Matrix._raw(field, x_rows)
     got = apply_derivation(d, x)
-    assert got.rows == _reference(d, x).rows
+    assert got.rows == _reference(field, d.A.rows, x.rows, mu)
     return got
 
 
-def _square(elements, max_n=4):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(_rows(elements, n, n), _rows(elements, n, n)))
+def test_apply_over_q_t():
+    for ax, scale in _examples("apply_over_q_t"):
+        _check_apply(*ax, QT, scale)
 
 
-@SETTINGS
-@given(_square(st.one_of(polys, st.just(QT.zero))), st.one_of(st.none(), nonzero_polys))
-def test_apply_over_q_t(ax, scale):
-    _check_apply(*ax, QT, scale)
+def test_apply_over_q():
+    for ax in _examples("apply_over_q"):
+        _check_apply(*ax, Q)
 
 
-@SETTINGS
-@given(_square(st.one_of(coeffs, st.just(Fraction(0)))))
-def test_apply_over_q(ax):
-    _check_apply(*ax, Q)
-
-
-@SETTINGS
-@given(_square(st.one_of(small_ratfuncs, small_polys), 3), st.one_of(st.none(), small_ratfuncs))
-def test_apply_with_denominators_takes_the_generic_path(ax, scale):
-    _check_apply(*ax, QT, scale)
+def test_apply_with_denominators_takes_the_generic_path():
+    for ax, scale in _examples("apply_with_denominators_takes_the_generic_path"):
+        _check_apply(*ax, QT, scale)
 
 
 @pytest.mark.parametrize("xi", [1, 3, 2 ** 31 - 1, 2 ** 64 + 1, 3 ** 50])
@@ -214,3 +321,110 @@ def test_unpack_signed_slots(bits):
     for poly in ([half - 1], [-half], [1, -half, half - 1], [-1, -1, -1],
                  [0, 0, -half + 1], [half - 1, 0, -1]):
         assert _kronecker._unpack(_kronecker._at(poly, bits), bits) == poly
+
+
+# -- integer-form results --------------------------------------------------------------
+
+def _perturbed(field, rows):
+    """``rows`` with one coefficient of entry (0, 0) raised by one."""
+    out = [list(r) for r in rows]
+    out[0][0] = field.add(out[0][0], field.one)
+    return out
+
+
+def _check_form(field, got, want):
+    """``got``, a matrix held as its integer form, against the rows ``want``."""
+    assert got.__class__ is _FormMatrix
+    built = Matrix._raw(field, want)
+    twin = Matrix._from_form(field, _kronecker.rep(built))
+    # the form is the canonical one, as ``clear`` makes it from the rows;
+    # its norm and degree are added when it is first used as an input
+    assert got._fastrep == twin._fastrep[:2]
+    assert _kronecker.rep(got) == twin._fastrep
+    assert got == twin and twin == got and not got != twin
+    assert hash(got) == hash(built) == hash(twin)
+    assert got == built and built == got
+    assert not got != built and not built != got
+    assert got.rows == want
+    other = Matrix._raw(field, _perturbed(field, want))
+    other_form = Matrix._from_form(field, _kronecker.rep(other))
+    for m in (other, other_form):
+        assert got != m and m != got
+        assert not got == m and not m == got
+
+
+@pytest.mark.parametrize("spec", FORM_SPECS)
+def test_integer_form_bracket(spec):
+    field = parse_field(spec)
+    for (a_rows, x_rows), scale in _examples(f"form_bracket|{spec}"):
+        mu = (FieldDerivation.zero(field) if scale is None
+              else FieldDerivation.scaled_dt(field, scale))
+        d = CanonicalDerivation(Matrix._raw(field, a_rows), mu)
+        x = Matrix._raw(field, x_rows)
+        got = apply_derivation(d, x)
+        _check_form(field, got, _reference(field, d.A.rows, x.rows, mu))
+        # a result is an input too: bracket it again
+        again = apply_derivation(d, got)
+        _check_form(field, again, _reference(field, d.A.rows, got.rows, mu))
+
+
+@pytest.mark.parametrize("spec", FORM_SPECS)
+def test_integer_form_products(spec):
+    field = parse_field(spec)
+    for a_rows, b_rows in _examples(f"form_product|{spec}"):
+        want = tuple(map(tuple, _gen_mul(a_rows, b_rows, field)))
+        form = _kronecker.product(field, _kronecker.clear(field, a_rows),
+                                  _kronecker.clear(field, b_rows))
+        assert _kronecker.decode(field, form) == want
+        assert form == _kronecker.clear(field, want)[:2]
+    for (a_rows, b_rows), _ in _examples(f"form_bracket|{spec}"):
+        a, b = Matrix._raw(field, a_rows), Matrix._raw(field, b_rows)
+        _check_form(field, a * b, tuple(map(tuple, _gen_mul(a_rows, b_rows, field))))
+
+
+@pytest.mark.parametrize("spec", ["Q(t)", "F3(t)"])
+def test_integer_form_refuses_non_polynomial_entries(spec):
+    field = parse_field(spec)
+    t = field.gen
+    frac = field.inv(field.add(t, field.one))
+    a_rows = [[field.zero, t], [field.one, field.mul(t, t)]]
+    x_rows = [[frac, field.one], [t, field.zero]]
+    for scale in (None, t, frac):
+        mu = (FieldDerivation.zero(field) if scale is None
+              else FieldDerivation.scaled_dt(field, scale))
+        for a, x in ((a_rows, x_rows), (x_rows, a_rows), (a_rows, a_rows)):
+            d = CanonicalDerivation(Matrix._raw(field, a), mu)
+            xm = Matrix._raw(field, x)
+            got = apply_derivation(d, xm)
+            assert got.rows == _reference(field, d.A.rows, xm.rows, mu)
+            polynomial = scale is not frac and all(
+                e[1] == field.one[1] for row in a + x for e in row)
+            assert (got.__class__ is _FormMatrix) == polynomial
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(t)"])
+def test_random_rank_k_rows(spec):
+    field = parse_field(spec)
+    for n, k in ((2, 1), (3, 2), (4, 2), (4, 4)):
+        for seed in range(5):
+            m = random_rank_k(n, k, field, seed=seed)
+            assert m.__class__ is _FormMatrix
+            assert m.rank() == _gen_rank(m.rows, field) == k
+            assert m.rows == Matrix(field, m.rows).rows
+
+
+def test_examples_span_several_words():
+    """The seeded Q and Q(t) families keep coefficients past 2^64."""
+    for name in ("rank_polynomial_rows", "matrix_rank_planted_dependent_rows",
+                 "rank_over_q", "apply_over_q_t", "form_bracket|Q", "form_product|Q(t)"):
+        coeffs = []
+
+        def walk(v):
+            if isinstance(v, Fraction):
+                coeffs.append(v)
+            elif isinstance(v, (list, tuple)):
+                for w in v:
+                    walk(w)
+
+        walk(_examples(name))
+        assert max(abs(c.numerator) for c in coeffs) > 2 ** 64, name

@@ -1,0 +1,64 @@
+"""Single-line mutants of the library that the tests named beside them must
+kill.  Each mutant is applied to a temporary copy of ``src/``, and the named
+tests run against that copy in a fresh interpreter; a mutant survives when
+they pass.  A change that claims a killed mutant adds it here.
+
+Slow: each mutant costs one run of its tests (``pytest -m slow``).
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/rankderiv, line as it stands, mutated line, tests to run)
+MUTANTS = [
+    ("_kronecker.py", "        if g > 1:", "        if False:",
+     "tests/test_kronecker.py"),
+    ("_kronecker.py", "    out = [c % p for c in poly]", "    out = list(poly)",
+     "tests/test_kronecker.py"),
+    ("_kronecker.py", "        out.pop()", "        break",
+     "tests/test_kronecker.py"),
+]
+
+
+def _run(tmp_path, tests, edit=None):
+    """The exit status of ``tests`` run against a copy of ``src/`` changed
+    by ``edit``, and the run's output."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if edit:
+        edit(src)
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", tests],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
+    return run.returncode, run.stdout[-2000:]
+
+
+@pytest.mark.slow
+def test_unmutated_copy_passes(tmp_path):
+    """The control: the copy itself passes every test the mutants run."""
+    for tests in sorted({m[3] for m in MUTANTS}):
+        status, out = _run(tmp_path / tests.replace("/", "_"), tests)
+        assert status == 0, out
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("path, line, mutant, tests", MUTANTS,
+                         ids=[f"{m[0]}:{m[1].strip()}" for m in MUTANTS])
+def test_mutant_is_killed(tmp_path, path, line, mutant, tests):
+    def edit(src):
+        target = src / "rankderiv" / path
+        lines = target.read_text().split("\n")
+        assert lines.count(line) == 1, f"{path}: the mutated line is not there exactly once"
+        lines[lines.index(line)] = mutant
+        target.write_text("\n".join(lines))
+
+    status, out = _run(tmp_path, tests, edit)
+    assert status == 1, f"mutant survived:\n{out}"
