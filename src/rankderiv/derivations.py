@@ -8,8 +8,15 @@ rank exactly s, or the sparse cover-rank union); evaluating outside the
 domain raises DomainError.  A table's keys are checked against its domain
 once, when the table is stored (the constructor, ``from_table``,
 ``from_text``, ``override``), so a lookup that finds its key computes no
-rank.  Over a finite field ``from_text`` also refuses a table that leaves
-out a matrix of its domain.
+rank; extension keys its table on the matrices it enumerates, unchecked.
+Over a finite field ``from_text`` also refuses a table that leaves out a
+matrix of its domain.
+
+The exhaustive paths count their matrices with ``matrix.rank_total`` and
+refuse past their guard before enumerating anything; ``enumerate_rank_k``
+records each rank, so no matrix is ranked again.  Exhaustive verification
+holds one ``matrix.rank_domain`` of ranks 0..max(s, 1), which holds every
+factor and product, and evaluates delta at most once per matrix of it.
 
 ``apply_derivation`` over a packed prime field whose space interns its rows
 (p^n <= ``_packed.INTERN_ROWS``) computes the bracket as
@@ -56,7 +63,7 @@ from .errors import (DomainError, PreconditionError, ExtractionError,
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
 from .fields import Field, FieldDerivation, RationalFunctionField
 from .matrix import (Matrix, enumerate_rank_k, product_sum, random_rank_k,
-                     rank_count_formula)
+                     rank_count_formula, rank_domain, rank_total)
 
 __all__ = [
     "CanonicalDerivation",
@@ -120,10 +127,10 @@ class CanonicalDerivation:
         return f"<CanonicalDerivation A=[{self.A.encode()}] mu={self.mu.describe()}>"
 
     @classmethod
-    def random(cls, field: Field, n: int, seed: int, with_dt: bool = False,
-               max_degree: int = 1) -> "CanonicalDerivation":
-        """Deterministic random derivation; over a function field an optional
-        nonzero c*d/dt component (c drawn from the base) is included."""
+    def random(cls, field: Field, n: int, seed: int,
+               with_dt: bool = False) -> "CanonicalDerivation":
+        """Deterministic random derivation; over a function field A has entries
+        of degree <= 1 and an optional nonzero c*d/dt (c from the base)."""
         rng = random.Random(f"rankderiv.derivation|{field.spec()}|{n}|{seed}")
         if isinstance(field, RationalFunctionField):
             base = field.base
@@ -132,7 +139,7 @@ class CanonicalDerivation:
                 row = []
                 for _ in range(n):
                     coeffs = [base.random_element(rng)
-                              for _ in range(rng.randint(1, max_degree + 1))]
+                              for _ in range(rng.randint(1, 2))]
                     row.append(field.from_poly(coeffs))
                 rows.append(row)
             a = Matrix(field, rows, canonicalize=False)
@@ -239,14 +246,7 @@ class DeltaDomain:
 
     def contains(self, x: Matrix) -> bool:
         """Whether x lies in the domain; a full domain computes no rank."""
-        if self.kind == "full":
-            return True
-        rank = x.rank()
-        if self.kind == "rank-leq":
-            return rank <= self.s
-        if self.kind == "rank-exact":
-            return rank == self.s
-        return rank in rank_set(x.n)
+        return self.kind == "full" or x.rank() in self.ranks(x.n)
 
     def ranks(self, n: int) -> list:
         """The ranks of the n x n matrices in the domain: a declared s above
@@ -382,12 +382,10 @@ class DeltaMap:
         canonical entry order.  Finite fields only."""
         if not self.field.is_finite:
             raise UsageError("cannot tabulate a map over an infinite field")
-        guard(_rank_total(self.n, self.domain.ranks(self.n), self.field.order),
+        guard(rank_total(self.n, self.domain.ranks(self.n), self.field.order),
               self._WRITE_GUARD, "matrices", "tabulation")
-        pairs = []
-        for k in self.domain.ranks(self.n):
-            for x in enumerate_rank_k(self.n, k, self.field):
-                pairs.append((x, self(x)))
+        pairs = [(x, self(x)) for k in self.domain.ranks(self.n)
+                 for x in enumerate_rank_k(self.n, k, self.field)]
         pairs.sort(key=lambda xv: xv[0].sort_key())
         return pairs
 
@@ -439,7 +437,7 @@ class DeltaMap:
         if fld.is_finite:
             # the keys are distinct and in the domain, so equal counts
             # mean every matrix of the domain has its record
-            expected = _rank_total(n, domain.ranks(n), fld.order)
+            expected = rank_total(n, domain.ranks(n), fld.order)
             if len(table) != expected:
                 raise UsageError(
                     f"delta table has {len(table)} records, but domain "
@@ -500,12 +498,6 @@ def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
 VERIFY_GUARD = 10 ** 6
 
 
-def _rank_total(n: int, ranks, q: int) -> int:
-    """How many n x n matrices over F_q have these ranks: what exhaustive
-    paths guard on before they enumerate anything."""
-    return sum(rank_count_formula(n, k, q) for k in ranks)
-
-
 @dataclass(frozen=True)
 class HypothesisReport:
     """Result of checking delta(xy) = delta(x) y + x delta(y) over pairs of
@@ -525,14 +517,6 @@ class HypothesisReport:
         status = "pass" if self.passed else "fail"
         return (f"checked {self.checked} pairs (s={self.s}, {self.mode}): "
                 f"{len(self.violations)} violation(s), {status}")
-
-
-def _product_rule_violation(delta, x, y, dx=None, dy=None):
-    dx = delta(x) if dx is None else dx
-    dy = delta(y) if dy is None else dy
-    lhs = delta(x * y)
-    rhs = product_sum(dx, y, x, dy)
-    return None if lhs == rhs else (x, y, lhs, rhs)
 
 
 def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
@@ -560,30 +544,31 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
         if pairs == "rank-s":
             total = rank_count_formula(n, s, q) ** 2
         else:
-            total = 2 * _rank_total(n, (0, 1), q) * _rank_total(n, range(s + 1), q)
+            total = 2 * rank_total(n, (0, 1), q) * rank_total(n, range(s + 1), q)
         guard(total, VERIFY_GUARD, "pairs", "exhaustive verification",
               "; use sampled verification instead")
+        # delta is read on the x side, the y side, then at each product's first pair
+        domain, index = rank_domain(n, range(max(s, 1) + 1), fld)
         if pairs == "rank-s":
-            xs = list(enumerate_rank_k(n, s, fld))
-            ys = xs
+            xs = ys = [i for i, m in enumerate(domain) if m.rank() == s]
         else:
-            xs = [m for k in (0, 1) for m in enumerate_rank_k(n, k, fld)]
-            ys = [m for k in range(s + 1) for m in enumerate_rank_k(n, k, fld)]
-        xvals = [delta(x) for x in xs]
-        yvals = xvals if ys is xs else [delta(y) for y in ys]
-        checked = 0
-        for i, x in enumerate(xs):
-            dx = xvals[i]
-            for j, y in enumerate(ys):
-                v = _product_rule_violation(delta, x, y, dx, yvals[j])
-                checked += 1
-                if v is not None:
-                    violations.append(v)
-                if pairs == "mixed":
-                    v = _product_rule_violation(delta, y, x, yvals[j], dx)
-                    checked += 1
-                    if v is not None:
-                        violations.append(v)
+            xs = [i for i, m in enumerate(domain) if m.rank() <= 1]
+            ys = [i for i, m in enumerate(domain) if m.rank() <= s]
+        values = [None] * len(domain)
+        for i in xs + ys:
+            if values[i] is None:
+                values[i] = delta(domain[i])
+        for i in xs:
+            for j in ys:
+                for a, b in ((i, j), (j, i)) if pairs == "mixed" else ((i, j),):
+                    x, y = domain[a], domain[b]
+                    k = index[(x * y).rows]
+                    if values[k] is None:
+                        values[k] = delta(domain[k])
+                    rhs = product_sum(values[a], y, x, values[b])
+                    if values[k] != rhs:
+                        violations.append((x, y, values[k], rhs))
+        checked = len(xs) * len(ys) * (1 if pairs == "rank-s" else 2)
         tag = "exhaustive" if pairs == "rank-s" else "exhaustive-mixed"
         return HypothesisReport(n, s, tag, checked, tuple(violations))
     if mode != "sampled":
@@ -602,10 +587,12 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
         y = random_rank_k(n, ky, fld, seed=rng.randrange(2 ** 63))
         if pairs == "mixed" and rng.random() < 0.5:
             x, y = y, x
-        v = _product_rule_violation(delta, x, y)
+        dx, dy = delta(x), delta(y)
+        lhs = delta(x * y)
+        rhs = product_sum(dx, y, x, dy)
         checked += 1
-        if v is not None:
-            violations.append(v)
+        if lhs != rhs:
+            violations.append((x, y, lhs, rhs))
     tag = f"sampled({count})" if pairs == "rank-s" else f"sampled-mixed({count})"
     return HypothesisReport(n, s, tag, checked, tuple(violations))
 
@@ -656,11 +643,11 @@ def extend_to_low_ranks(delta: DeltaMap, s: int | None = None) -> ExtensionResul
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")
     if not fld.is_finite:
         raise UsageError("extension tabulates the domain; needs a finite field")
-    guard(_rank_total(n, range(s + 1), fld.order), VERIFY_GUARD, "matrices",
+    guard(rank_total(n, range(s + 1), fld.order), VERIFY_GUARD, "matrices",
           "exhaustive extension")
     table = {}
     for x in enumerate_rank_k(n, s, fld):
-        table[x] = delta(x)
+        table[x.rows] = delta(x)
     inconsistencies = []
     for k in range(s):
         for y in enumerate_rank_k(n, k, fld):
@@ -670,8 +657,8 @@ def extend_to_low_ranks(delta: DeltaMap, s: int | None = None) -> ExtensionResul
             v2 = product_sum(delta(f2.y1), f2.y2, f2.y1, delta(f2.y2))
             if v1 != v2:
                 inconsistencies.append(y)
-            table[y] = v1
-    ext = DeltaMap.from_table(n, fld, DeltaDomain.rank_leq(s), table)
+            table[y.rows] = v1
+    ext = DeltaMap._stored(n, fld, DeltaDomain.rank_leq(s), table)
     return ExtensionResult(ext, tuple(inconsistencies))
 
 
@@ -816,7 +803,7 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
             f"rank set {ranks} has minimum 0 (n = 2^m - 1); the covering "
             f"construction does not apply at n={n}")
     if fld.is_finite:
-        guard(_rank_total(n, range(n + 1), fld.order), VERIFY_GUARD, "matrices",
+        guard(rank_total(n, range(n + 1), fld.order), VERIFY_GUARD, "matrices",
               "exhaustive reconstruction")
     elif seed is None:
         raise UsageError("sampled reconstruction requires a seed")

@@ -547,13 +547,19 @@ def rank_count_formula(n: int, k: int, q: int) -> int:
     return binom * binom * gl
 
 
+def rank_total(n: int, ranks, q: int) -> int:
+    """How many n x n matrices over F_q have these ranks: what exhaustive
+    paths guard on before they enumerate anything."""
+    return sum(rank_count_formula(n, k, q) for k in ranks)
+
+
 # ---------------------------------------------------------------------------
 # enumeration and sampling by rank
 # ---------------------------------------------------------------------------
 
 def enumerate_rank_k(n: int, k: int, field: Field):
     """Yield every rank-k matrix of M_n over a finite field exactly once,
-    in lexicographic row-major entry order.
+    in lexicographic row-major entry order, with its rank recorded.
 
     Implemented as a depth-first scan over rows that keeps the span of the
     rows chosen so far as a set of at most q^k row tuples: a row is dependent
@@ -571,7 +577,9 @@ def enumerate_rank_k(n: int, k: int, field: Field):
 
     def rec(level, chosen, span, r):
         if level == n:
-            yield Matrix._raw(field, chosen)
+            m = Matrix._raw(field, chosen)
+            m._rank = k
+            yield m
             return
         remaining = n - level - 1
         for v in vectors:
@@ -588,6 +596,13 @@ def enumerate_rank_k(n: int, k: int, field: Field):
                 yield from rec(level + 1, chosen + [v], grown, r + 1)
 
     yield from rec(0, [], {(0,) * n}, 0)
+
+
+def rank_domain(n: int, ranks, field: Field):
+    """The n x n matrices of these ranks over a finite field, rank by rank
+    in ``enumerate_rank_k`` order, and ``{rows: place}``."""
+    domain = [m for k in ranks for m in enumerate_rank_k(n, k, field)]
+    return domain, {m.rows: i for i, m in enumerate(domain)}
 
 
 def enumerate_all(n: int, field: Field):

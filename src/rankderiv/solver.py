@@ -1,11 +1,13 @@
 """Independent verification oracle: the product rule over all rank-s pairs,
 linearized as a homogeneous sparse system over F_q.
 
-Unknowns are the entries of delta on the rank <= s domain; each ordered
-pair (x, y) of rank-s matrices contributes the n^2 equations of
+Unknowns are the entries of delta on the rank <= s domain
+(``matrix.rank_domain``, whose index gives the place of each product xy);
+each ordered pair (x, y) of rank-s matrices contributes the n^2 equations of
 delta(xy) - delta(x) y - x delta(y) = 0.  The exact nullspace of the system
 is the space of all maps satisfying the hypothesis, returned as table-backed
-DeltaMaps for end-to-end cross-checking against extraction.
+DeltaMaps keyed on the domain's matrices, for end-to-end cross-checking
+against extraction.
 
 The nullspace is found by incremental Gauss-Jordan elimination on the
 coefficient dicts, one routine for every prime.  The pivot block is kept
@@ -28,7 +30,8 @@ from dataclasses import dataclass
 
 from .derivations import DeltaDomain, DeltaMap
 from .errors import PreconditionError, UsageError, guard
-from .matrix import Matrix, _gen_rref, enumerate_rank_k, rank_count_formula
+from .matrix import (Matrix, _gen_rref, enumerate_rank_k, rank_count_formula,
+                     rank_domain, rank_total)
 
 __all__ = [
     "ConstraintSystem",
@@ -74,37 +77,30 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
     if not (1 <= s and 2 * s <= n):
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")
     q = field.order
-    unknowns = sum(rank_count_formula(n, k, q) for k in range(s + 1)) * n * n
-    guard(unknowns, UNKNOWN_GUARD, "unknowns", "solver")
+    guard(rank_total(n, range(s + 1), q) * n * n, UNKNOWN_GUARD, "unknowns", "solver")
     guard(rank_count_formula(n, s, q) ** 2, BLOCK_GUARD, "equation blocks", "solver")
-    domain = []
-    for k in range(s + 1):
-        domain.extend(enumerate_rank_k(n, k, field))
-    index = {m.rows: i for i, m in enumerate(domain)}
+    domain, index = rank_domain(n, range(s + 1), field)
     nn = n * n
-    rank_s = [m for m in domain if m.rank() == s]
+    rank_s = [i for i, m in enumerate(domain) if m.rank() == s]
     rows = []
-    p = field.order
-    for x in rank_s:
-        ix = index[x.rows] * nn
-        for y in rank_s:
-            iy = index[y.rows] * nn
-            xy = x * y
-            ixy = index[xy.rows] * nn
+    for i in rank_s:
+        x, ix = domain[i], i * nn
+        for j in rank_s:
+            y, iy = domain[j], j * nn
+            ixy = index[(x * y).rows] * nn
             for a in range(n):
                 xa = x.rows[a]
                 for b in range(n):
-                    coeffs = {}
-                    coeffs[ixy + a * n + b] = 1
+                    coeffs = {ixy + a * n + b: 1}
                     for c in range(n):
                         ycb = y.rows[c][b]
                         if ycb:
                             col = ix + a * n + c
-                            coeffs[col] = (coeffs.get(col, 0) - ycb) % p
+                            coeffs[col] = (coeffs.get(col, 0) - ycb) % q
                         xac = xa[c]
                         if xac:
                             col = iy + c * n + b
-                            coeffs[col] = (coeffs.get(col, 0) - xac) % p
+                            coeffs[col] = (coeffs.get(col, 0) - xac) % q
                     rows.append({c: v for c, v in coeffs.items() if v})
     return ConstraintSystem(n, s, field, domain, index, rows)
 
@@ -173,9 +169,9 @@ def solution_space(n: int, s: int, field):
         table = {}
         for idx, m in enumerate(system.domain):
             vals = vec[idx * nn:(idx + 1) * nn]
-            table[m] = Matrix._raw(field, [
+            table[m.rows] = Matrix._raw(field, [
                 [vals[a * n + b] for b in range(n)] for a in range(n)])
-        maps.append(DeltaMap.from_table(n, field, DeltaDomain.rank_leq(s), table))
+        maps.append(DeltaMap._stored(n, field, DeltaDomain.rank_leq(s), table))
     return len(basis), maps
 
 

@@ -37,6 +37,23 @@ def Qt():
     return parse_field("Q(t)")
 
 
+@pytest.fixture
+def no_enumeration(monkeypatch):
+    """``never``, which raises when called, with ``enumerate_rank_k``
+    replaced by it in every module that calls it: a guard test passes it as
+    its map too, so that enumerating or evaluating anything fails at once."""
+    import rankderiv.derivations
+    import rankderiv.matrix
+    import rankderiv.solver
+
+    def never(*args):
+        raise AssertionError("enumerated or evaluated before the guard")
+
+    for module in (rankderiv.matrix, rankderiv.derivations, rankderiv.solver):
+        monkeypatch.setattr(module, "enumerate_rank_k", never)
+    return never
+
+
 def ref_rank_mod(rows, p):
     """Independent row-echelon rank over F_p (oracle; no library code)."""
     m = [[e % p for e in row] for row in rows]

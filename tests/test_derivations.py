@@ -1,6 +1,7 @@
 """Derivation application, verification, extension, extraction, and
 reconstruction."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -361,18 +362,66 @@ def test_verify_domain_errors_propagate(F2):
 
 
 @pytest.mark.parametrize("pairs", ["rank-s", "mixed"])
-def test_verify_exhaustive_guard_refuses_before_enumerating(F3, monkeypatch, pairs):
+def test_verify_exhaustive_guard_refuses_before_enumerating(F3, no_enumeration, pairs):
     """F_3, n = 4, s = 2 has 811,200 rank-2 matrices, 6.6e11 ordered pairs;
     the count comes from the formula, so nothing is enumerated or evaluated."""
-    import rankderiv.derivations as derivations
-
-    def never(*args):
-        raise AssertionError("enumerated or evaluated before the guard")
-
-    monkeypatch.setattr(derivations, "enumerate_rank_k", never)
-    delta = DeltaMap.from_function(4, F3, DeltaDomain.full(), never)
+    delta = DeltaMap.from_function(4, F3, DeltaDomain.full(), no_enumeration)
     with pytest.raises(ResourceLimitError, match="exhaustive verification guard"):
         verify_hypothesis(delta, 2, pairs=pairs)
+
+
+# (field, n, pairs): the delta calls and report of exhaustive verify with s = 1,
+# recorded before verify read delta once per matrix: the number of distinct
+# matrices delta met, the sha256 of their encodings in order of first call,
+# the pairs checked, the violations, the sha256 of the count and the
+# violations as (x, y, lhs, rhs) encodings, and the last matrix first met
+VERIFY_RECORDS = [
+    ("F2", 3, "rank-s", 50, "4956c642edc1dd29", 2401, 116, "574c8f13b86522c3",
+     "0 0 0 0 0 0 0 0 0"),
+    ("F2", 3, "mixed", 50, "dbf8f58b8acd6fb6", 5000, 232, "498e3bad7630692c",
+     "1 1 1 1 1 1 1 1 1"),
+    ("F3", 2, "rank-s", 33, "2adccb6beb4ebbf6", 1024, 64, "b2740c68d3754aa0", "0 0 0 0"),
+    ("F3", 2, "mixed", 33, "10da392bbeb38dd6", 2178, 128, "eb9023047dbe0be5", "2 2 2 2"),
+]
+
+
+def _sha(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("spec, n, pairs, distinct, order, checked, violations, report, last",
+                         VERIFY_RECORDS, ids=[f"{r[0]}-n{r[1]}-{r[2]}" for r in VERIFY_RECORDS])
+def test_verify_exhaustive_reads_delta_once_per_matrix(spec, n, pairs, distinct, order,
+                                                       checked, violations, report, last):
+    """A function-backed map, corrupted at e_01 so that some pairs fail, is
+    called at most once per matrix and in the recorded order of first calls
+    (the x side, the y side, then each product at its first pair), and the
+    report is the recorded one.  A map that raises at the last matrix first
+    met raises the recorded error."""
+    F = parse_field(spec)
+    inner = make_delta(CanonicalDerivation.random(F, n, seed=41)).override(
+        Matrix.unit(F, n, 0, 1), Matrix.identity(F, n))
+    calls = []
+
+    def fn(x):
+        calls.append(x.encode())
+        return inner(x)
+
+    got = verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, fn), 1, pairs=pairs)
+    assert len(calls) == len(set(calls)) == distinct
+    assert _sha(calls) == order
+    assert got.checked == checked and len(got.violations) == violations
+    assert _sha([str(got.checked)]
+                + [" | ".join(m.encode() for m in v) for v in got.violations]) == report
+
+    def refuse_last(x):
+        if x.encode() == last:
+            raise ValueError(f"refused [{x.encode()}]")
+        return inner(x)
+
+    with pytest.raises(ValueError, match=rf"^refused \[{last}\]$"):
+        verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, refuse_last), 1,
+                          pairs=pairs)
 
 
 def test_check_linear_combination(F3):
@@ -450,16 +499,10 @@ def test_extension_flags_corruption(F2):
     assert len(result.inconsistencies) >= 1
 
 
-def test_extension_guard_refuses_before_enumerating(F3, monkeypatch):
+def test_extension_guard_refuses_before_enumerating(F3, no_enumeration):
     """F_3, n = 5 has 70,306,083 matrices of rank <= 2; the count comes from
     the formula, so nothing is enumerated or evaluated."""
-    import rankderiv.derivations as derivations
-
-    def never(*args):
-        raise AssertionError("enumerated or evaluated before the guard")
-
-    monkeypatch.setattr(derivations, "enumerate_rank_k", never)
-    delta = DeltaMap.from_function(5, F3, DeltaDomain.rank_exact(2), never)
+    delta = DeltaMap.from_function(5, F3, DeltaDomain.rank_exact(2), no_enumeration)
     with pytest.raises(ResourceLimitError,
                        match="70306083 matrices exceed the 1000000 exhaustive extension guard"):
         extend_to_low_ranks(delta)
@@ -751,16 +794,10 @@ def test_reconstruct_gap_ranks_n4(F2):
     assert report.passed
 
 
-def test_reconstruct_guard_refuses_before_enumerating(F2, monkeypatch):
+def test_reconstruct_guard_refuses_before_enumerating(F2, no_enumeration):
     """M_5(F_2) has 2^25 matrices; the count comes from the formula, so
     nothing is extracted, enumerated or evaluated."""
-    import rankderiv.derivations as derivations
-
-    def never(*args):
-        raise AssertionError("enumerated or evaluated before the guard")
-
-    monkeypatch.setattr(derivations, "enumerate_rank_k", never)
-    delta = DeltaMap.from_function(5, F2, DeltaDomain.full(), never)
+    delta = DeltaMap.from_function(5, F2, DeltaDomain.full(), no_enumeration)
     with pytest.raises(ResourceLimitError,
                        match="33554432 matrices exceed the 1000000 exhaustive reconstruction guard"):
         reconstruct_full(delta, 5)

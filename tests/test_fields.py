@@ -1,10 +1,14 @@
-"""Field arithmetic, canonical forms, parsing, and derivation laws."""
+"""Field arithmetic, canonical forms, parsing, and derivation laws.
+
+The sampled laws draw their inputs from ``random.Random`` generators seeded
+by the test's name, so they do not depend on anything else in the source
+tree; ``CASES`` lists every drawn family, and ``_examples`` draws one.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rankderiv import (
     DomainError,
@@ -17,27 +21,59 @@ from rankderiv import (
 )
 
 
-def q_elements():
-    return st.fractions(min_value=-10, max_value=10, max_denominator=40)
+QT = parse_field("Q(t)")
+EXAMPLES = 200
 
 
-def fp_elements(p):
-    return st.integers(min_value=0, max_value=p - 1)
+# -- seeded inputs ---------------------------------------------------------------
+
+def _int(rng, low, high):
+    """An int in [low, high], one of 0 and the ends a quarter of the time."""
+    if rng.random() < 0.25:
+        return rng.choice([v for v in (0, low, high) if low <= v <= high])
+    return rng.randint(low, high)
 
 
-def qt_elements():
-    """Small rational functions num/den over Q(t)."""
-    field = parse_field("Q(t)")
-    coeff = st.integers(min_value=-4, max_value=4)
-    polys = st.lists(coeff, min_size=1, max_size=3)
+def _q_element(rng):
+    """A fraction in [-10, 10] with denominator at most 40, often 1."""
+    den = 1 if rng.random() < 0.25 else rng.randint(1, 40)
+    return Fraction(_int(rng, -10 * den, 10 * den), den)
 
-    def build(num, den):
-        d = field.from_poly(den)
-        if d == field.zero:
-            d = field.one
-        return field.div(field.from_poly(num), d)
 
-    return st.builds(build, polys, polys)
+def _f7_element(rng):
+    return _int(rng, 0, 6)
+
+
+def _qt_element(rng):
+    """num/den over Q(t) with 1 to 3 coefficients in [-4, 4] on each side;
+    a zero denominator becomes 1, and a quarter of them are 1."""
+    def poly():
+        return QT.from_poly([_int(rng, -4, 4) for _ in range(rng.randint(1, 3))])
+
+    num = poly()
+    den = QT.one if rng.random() < 0.25 else poly()
+    return QT.div(num, QT.one if den == QT.zero else den)
+
+
+def _draws(*draws):
+    return lambda rng: tuple(draw(rng) for draw in draws)
+
+
+CASES = {
+    "q_field_laws": _draws(_q_element, _q_element, _q_element),
+    "f7_field_laws": _draws(_f7_element, _f7_element, _f7_element),
+    "qt_field_laws": _draws(_qt_element, _qt_element, _qt_element),
+    "qt_canonical_idempotent": _draws(_qt_element, _qt_element),
+    "qt_format_parse_round_trip": _draws(_qt_element),
+    "q_format_parse_round_trip": _draws(_q_element),
+    "scaled_dt_is_a_derivation": _draws(_qt_element, _qt_element, _q_element),
+}
+
+
+def _examples(name):
+    """The ``EXAMPLES`` inputs of the family ``name``, each from its own seed."""
+    draw = CASES[name]
+    return [draw(random.Random(f"test_fields|{name}|{i}")) for i in range(EXAMPLES)]
 
 
 # -- worked examples -----------------------------------------------------------
@@ -102,73 +138,66 @@ def test_t_rejected_outside_function_fields(Q, F7):
 
 # -- algebraic laws (sampled) -------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
-@given(a=q_elements(), b=q_elements(), c=q_elements())
-def test_q_field_laws(a, b, c):
+def test_q_field_laws():
     field = parse_field("Q")
-    assert field.mul(field.add(a, b), c) == field.add(field.mul(a, c), field.mul(b, c))
-    assert field.add(a, b) == field.add(b, a)
-    assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+    for a, b, c in _examples("q_field_laws"):
+        assert field.mul(field.add(a, b), c) == field.add(field.mul(a, c), field.mul(b, c))
+        assert field.add(a, b) == field.add(b, a)
+        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=fp_elements(7), b=fp_elements(7), c=fp_elements(7))
-def test_f7_field_laws(a, b, c):
+def test_f7_field_laws():
     field = parse_field("F7")
-    assert field.mul(field.add(a, b), c) == field.add(field.mul(a, c), field.mul(b, c))
-    assert field.add(a, b) == field.add(b, a)
-    assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-    if a != 0:
-        assert field.mul(a, field.inv(a)) == 1
+    for a, b, c in _examples("f7_field_laws"):
+        assert field.mul(field.add(a, b), c) == field.add(field.mul(a, c), field.mul(b, c))
+        assert field.add(a, b) == field.add(b, a)
+        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+        if a != 0:
+            assert field.mul(a, field.inv(a)) == 1
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=qt_elements(), b=qt_elements(), c=qt_elements())
-def test_qt_field_laws(a, b, c):
+def test_qt_field_laws():
     field = parse_field("Q(t)")
-    assert field.mul(field.add(a, b), c) == field.add(field.mul(a, c), field.mul(b, c))
-    assert field.add(a, b) == field.add(b, a)
-    assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-    if a != field.zero:
-        assert field.mul(a, field.inv(a)) == field.one
+    for a, b, c in _examples("qt_field_laws"):
+        assert field.mul(field.add(a, b), c) == field.add(field.mul(a, c), field.mul(b, c))
+        assert field.add(a, b) == field.add(b, a)
+        assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
+        if a != field.zero:
+            assert field.mul(a, field.inv(a)) == field.one
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=qt_elements(), b=qt_elements())
-def test_qt_canonical_idempotent(a, b):
+def test_qt_canonical_idempotent():
     field = parse_field("Q(t)")
-    for value in (field.add(a, b), field.mul(a, b)):
-        assert field.canonical(value) == value
+    for a, b in _examples("qt_canonical_idempotent"):
+        for value in (field.add(a, b), field.mul(a, b)):
+            assert field.canonical(value) == value
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=qt_elements())
-def test_qt_format_parse_round_trip(a):
+def test_qt_format_parse_round_trip():
     field = parse_field("Q(t)")
-    text = field.format(a)
-    assert " " not in text
-    assert field.parse(text) == a
+    for a, in _examples("qt_format_parse_round_trip"):
+        text = field.format(a)
+        assert " " not in text
+        assert field.parse(text) == a
 
 
-@settings(max_examples=200, deadline=None)
-@given(a=q_elements())
-def test_q_format_parse_round_trip(a):
+def test_q_format_parse_round_trip():
     field = parse_field("Q")
-    assert field.parse(field.format(a)) == a
+    for a, in _examples("q_format_parse_round_trip"):
+        assert field.parse(field.format(a)) == a
 
 
 # -- derivation laws -----------------------------------------------------------
 
-@settings(max_examples=200, deadline=None)
-@given(a=qt_elements(), b=qt_elements(), c=q_elements())
-def test_scaled_dt_is_a_derivation(a, b, c):
+def test_scaled_dt_is_a_derivation():
     field = parse_field("Q(t)")
-    mu = FieldDerivation.scaled_dt(field, field.from_poly([c]))
-    assert mu(field.add(a, b)) == field.add(mu(a), mu(b))
-    lhs = mu(field.mul(a, b))
-    rhs = field.add(field.mul(a, mu(b)), field.mul(mu(a), b))
-    assert lhs == rhs
-    assert mu(field.one) == field.zero
+    for a, b, c in _examples("scaled_dt_is_a_derivation"):
+        mu = FieldDerivation.scaled_dt(field, field.from_poly([c]))
+        assert mu(field.add(a, b)) == field.add(mu(a), mu(b))
+        lhs = mu(field.mul(a, b))
+        rhs = field.add(field.mul(a, mu(b)), field.mul(mu(a), b))
+        assert lhs == rhs
+        assert mu(field.one) == field.zero
 
 
 def test_only_zero_derivation_over_q_and_fp(Q, F7):
