@@ -12,12 +12,14 @@ on all n entries, as long as no byte (a "slot") overflows into the next.
   reduced once, through the 256-byte ``bytes.translate`` table of v -> v % p
   (the delayed reduction of FFLAS-FFPACK).  The largest unreduced slot sum
   is the one of ``mul2``'s a b + c d, with b canonical and the slots of d
-  at most p: n (p-1) (p-1) + n (p-1) p = n (p-1) (2p-1).  Both the product
-  rule's delta(x) y + x delta(y) and the bracket A x - x A, as
-  A x + x (-A) with ``neg``, are such sums, so a (p, n) packs only when
-  that bound is at most 255: F_3 up to n = 25, F_5 up to n = 7,
-  F_7 up to n = 3, F_11 at n = 1.  Every other (p, n) has no packed space,
-  and its matrices use the generic elimination of ``matrix.py``.
+  at most p: n (p-1) (p-1) + n (p-1) p = n (p-1) (2p-1).  The product
+  rule's delta(x) y + x delta(y) is such a sum, and so is the bracket by
+  row tables below, whose -A has slots in [1, p] (``neg``); past the
+  intern bound the bracket is ``matrix.product_sum(A, x, x, -A)`` with -A
+  canonical.  So a (p, n) packs only when that bound is at most 255:
+  F_3 up to n = 25, F_5 up to n = 7, F_7 up to n = 3, F_11 at n = 1.
+  Every other (p, n) has no packed space, and its matrices use the generic
+  elimination of ``matrix.py``.
 
 Arithmetic returns ``(rows, packed)``: the decoded rows as tuples of ints,
 and the packed rows, or None where they are left to be packed on demand.
@@ -25,8 +27,8 @@ Decoded rows are interned per (p, n) when there are at most
 ``INTERN_ROWS`` distinct rows, so equal rows share one tuple and the
 interned table also packs rows by lookup.  Rank normal forms are packed
 over F_2 only; they return P and Q with their packed rows, and the factors
-built from them (``factor.py``) zero columns with a byte mask and rows with
-a 0, in every packed space, so no factor is packed twice.
+built from them (``matrix.masked``) zero columns with a byte mask and rows
+with a 0, in every packed space, so no factor is packed twice.
 
 A space that interns its rows also brackets with a fixed A by table
 lookup (``bracket_rows``, ``bracket``): [A, x] = sum_i T_i[x_i], where
@@ -37,11 +39,11 @@ is left unreduced, A E_i(r) + E_i(r) (-A) with -A's slots in [1, p], so
 the n entries of a bracket sum to A x + x (-A) slot by slot: at most
 n (p-1) (p-1) + n (p-1) p, the bound of ``mul2`` that ``fits`` imposes,
 and the sum is reduced and decoded once.  The tables are filled on first
-lookup and are owned by the derivation that built them
-(``derivations.CanonicalDerivation``); at most n p^n entries, 49,152 at
-F_2, n = 12, the most of any space.  A's rows are checked and packed once,
-when its tables are made, and an entry is built from them with a few
-integer operations (``BracketRows``), about one row of ``mul2``.
+lookup and are owned by the map that made them (``matrix.bracket_map``,
+held by a ``derivations.CanonicalDerivation``); at most n p^n entries,
+49,152 at F_2, n = 12, the most of any space.  A's rows are checked and
+packed once, when its tables are made, and an entry is built from them
+with a few integer operations (``BracketRows``), about one row of ``mul2``.
 """
 
 from __future__ import annotations
@@ -162,7 +164,8 @@ class Space:
 
     def neg(self, packed):
         """Packed rows of -M with every slot p - v in [1, p], so nothing
-        borrows; over F_2 -M is M.  Only ``mul2``'s d takes such slots."""
+        borrows; over F_2 -M is M.  Only the row tables' -A
+        (``bracket_rows``) holds such slots; ``mul2``'s d may too."""
         if self.p == 2:
             return packed
         pones = self.p * self.ones
@@ -186,8 +189,10 @@ class Space:
     def bracket_rows(self, a_rows):
         """The row tables T_0 .. T_{n-1} of [A, .] for the matrix with rows
         ``a_rows``, empty until looked up (``BracketRows``), or None when
-        A's entries are not canonical residues.  Only a space that interns
-        its rows has them."""
+        A's entries are not canonical residues or the space does not intern
+        its rows."""
+        if self.intern is None:
+            return None
         try:
             a_packed = self.pack(a_rows)
         except UsageError:

@@ -18,29 +18,9 @@ records each rank, so no matrix is ranked again.  Exhaustive verification
 holds one ``matrix.rank_domain`` of ranks 0..max(s, 1), which holds every
 factor and product, and evaluates delta at most once per matrix of it.
 
-``apply_derivation`` over a packed prime field whose space interns its rows
-(p^n <= ``_packed.INTERN_ROWS``) computes the bracket as
-[A, x] = sum_i T_i[x_i], with T_i[r] = [A, E_i(r)] and E_i(r) the matrix
-whose row i is r and whose other rows are zero: n lookups, one XOR or slot
-sum, one reduction (the "method of the Four Russians" of M4RI: Albrecht,
-Bard and Hart, ACM TOMS 2010; layout and bound in ``_packed``).  The
-tables belong to the derivation: a ``CanonicalDerivation`` resolves its
-ring once, when it is built, and fills a table entry on the first lookup
-of its row, so a derivation applied to m matrices holds at most n m
-entries, never more than n p^n (49,152 at F_2, n = 12), and they die with
-it.  Building an entry costs about one row of the fused pass below, so the
-tables pay off as rows recur among the matrices one derivation brackets;
-a bracket whose rows are all new costs about as much as the fused pass,
-and a derivation applied to a single matrix also pays for making them.
-Past the intern bound the bracket is A x + x (-A) in one packed pass
-(``_packed.Space.mul2``), the pass that also forms the product rule's
-delta(x) y + x delta(y) (``matrix.product_sum``).  Over Q,
-Q(t) and F_p(t), when every entry of A and x is a polynomial, it computes
-[A, x] on integers at t = 2^B (``_kronecker``), with c dx/dt folded in
-when the d/dt scale c is a polynomial, and returns the result in its
-integer form, whose rows are decoded only when read; the derivation
-clears its d/dt scale once, when it is built.  Every other input takes
-generic ``Matrix`` arithmetic.
+A ``CanonicalDerivation`` resolves its bracket once, when it is built
+(``matrix.bracket_map``, where the representation of A and x is chosen),
+and ``apply_derivation`` checks x against A and calls it.
 
 ``extract_derivation`` recovers the canonical pair from a map that obeys
 the product rule on pairs of rank-s matrices: it reads the images of the
@@ -57,13 +37,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import _kronecker
 from .errors import (DomainError, PreconditionError, ExtractionError,
                      UsageError, guard)
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
 from .fields import Field, FieldDerivation, RationalFunctionField
-from .matrix import (Matrix, enumerate_rank_k, product_sum, random_rank_k,
-                     rank_count_formula, rank_domain, rank_total)
+from .matrix import (Matrix, bracket_map, enumerate_rank_k, product_sum,
+                     random_rank_k, rank_count_formula, rank_domain, rank_total)
 
 __all__ = [
     "CanonicalDerivation",
@@ -87,7 +66,7 @@ class CanonicalDerivation:
     zero (0, 0) entry (subtracting a scalar multiple of the identity does
     not change the map)."""
 
-    __slots__ = ("A", "mu", "_ring")
+    __slots__ = ("A", "mu", "_apply")
 
     def __init__(self, A: Matrix, mu: FieldDerivation | None = None):
         field = A.field
@@ -100,7 +79,7 @@ class CanonicalDerivation:
             A = A - Matrix.identity(field, A.n).scaled(corner)
         self.A = A
         self.mu = mu
-        self._ring = _fixed_a_ring(A, mu)
+        self._apply = bracket_map(A, mu)
 
     @property
     def n(self) -> int:
@@ -116,9 +95,6 @@ class CanonicalDerivation:
     def __eq__(self, other):
         return (isinstance(other, CanonicalDerivation)
                 and other.A == self.A and other.mu == self.mu)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.A, self.mu))
@@ -158,59 +134,10 @@ class CanonicalDerivation:
         return cls(a, mu)
 
 
-def _fixed_a_ring(a: Matrix, mu: FieldDerivation):
-    """What every bracket with A reuses, resolved once.  Over Q, Q(t) and
-    F_p(t), ``(None, c)``: c is the cleared scale (``_kronecker.scale``)
-    when mu is c d/dt with c a polynomial, else None.  ``(space, row
-    tables)`` when A's packed space interns its rows
-    (``_packed.Space.bracket_rows``).  Else None; an A with entries that
-    are not canonical has no tables, and ``_bracket`` refuses it."""
-    f = a.field
-    if _kronecker.handles(f):
-        return None, _kronecker.scale(f, mu.scale) if mu.kind == "dt" else None
-    sp = a._space()
-    if sp is None or sp.intern is None:
-        return None
-    tables = sp.bracket_rows(a.rows)
-    return None if tables is None else (sp, tables)
-
-
 def apply_derivation(D: CanonicalDerivation, x: Matrix) -> Matrix:
     """A x - x A + entrywise mu(x)."""
-    a = D.A
-    a._check(x)
-    f = a.field
-    mu = D.mu
-    ring = D._ring
-    if ring is None:
-        out = _bracket(a, x)
-    elif ring[0] is not None:
-        sp, tables = ring
-        out = Matrix._from_packed(f, sp.bracket(tables, x.rows))
-    else:
-        c = ring[1]
-        form = _kronecker.apply(a, x, c)
-        if form is None:
-            out = a * x - x * a
-        elif c is not None:     # the form already holds mu(x)
-            return Matrix._from_form(f, form)
-        else:
-            out = Matrix._from_form(f, form)
-    if not mu.is_zero():
-        out = out + Matrix._raw(f, [[mu(e) for e in row] for row in x.rows])
-    return out
-
-
-def _bracket(a: Matrix, x: Matrix) -> Matrix:
-    """A x - x A; over a packed prime field in one pass, with one reduction
-    per output row and no intermediate matrix."""
-    f = a.field
-    sp = a._space()
-    if sp is not None:
-        neg_a = sp.neg(a._packed_rows(sp))
-        return Matrix._from_packed(
-            f, sp.mul2(a.rows, x._packed_rows(sp), x.rows, neg_a))
-    return a * x - x * a
+    D.A._check(x)
+    return D._apply(x)
 
 
 @dataclass(frozen=True)

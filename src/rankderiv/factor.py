@@ -9,11 +9,11 @@
 * ``rank_set`` / ``cover_rank``: the sparse decreasing family of ranks
   {n + 1 - 2^i} from which every intermediate rank can be product-covered.
 
-Factors of a matrix with packed rows (``_packed``) are masked on the packed
-rows of P and Q.  ``adapted_factor`` reads W^T, the first s columns of Q R
-transposed: its pivot columns in case-I, its kernel in case-II, on packed
-rows over F_2 and through the generic ``_echelon`` otherwise.  Every path
-gives the same factors.
+Factors are P and Q with columns or rows zeroed (``matrix.masked``, which
+masks packed rows as they stand).  ``adapted_factor`` reads W^T, the first
+s columns of Q R transposed: its pivot columns in case-I, its kernel in
+case-II, on packed rows over F_2 and through the generic ``_echelon``
+otherwise.  Every path gives the same factors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import PreconditionError
-from .matrix import Matrix, _echelon, _gen_nullspace
+from .matrix import Matrix, _echelon, _gen_nullspace, masked
 
 __all__ = [
     "RankSFactorization",
@@ -48,30 +48,6 @@ class AdaptedFactorization:
     case_tag: str  # "case-I" or "case-II"
 
 
-def _keep_columns(m: Matrix, cols) -> Matrix:
-    """``m * Matrix.diag_ones(field, n, cols)``: the other columns zeroed."""
-    sp = m._space()
-    if sp is not None:
-        mask = sp.slots(cols)
-        return Matrix._from_packed(m.field, sp.decode(
-            tuple([r & mask for r in m._packed_rows(sp)])))
-    z = m.field.zero
-    keep = [j in cols for j in range(m.n)]
-    return Matrix._raw(m.field, [[e if k else z for e, k in zip(row, keep)]
-                                 for row in m.rows])
-
-
-def _keep_rows(m: Matrix, rows) -> Matrix:
-    """``Matrix.diag_ones(field, n, rows) * m``: the other rows zeroed."""
-    sp = m._space()
-    if sp is not None:
-        return Matrix._from_packed(m.field, sp.decode(
-            tuple([r if i in rows else 0 for i, r in enumerate(m._packed_rows(sp))])))
-    zero_row = (m.field.zero,) * m.n
-    return Matrix._raw(m.field, [row if i in rows else zero_row
-                                 for i, row in enumerate(m.rows)])
-
-
 def _rank_normal_form_for(y: Matrix, s: int):
     """The rank normal form of y, once rank(y) = k admits rank-s factors:
     2s - n <= k <= s with 1 <= s <= n."""
@@ -95,8 +71,8 @@ def factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
     """
     rnf = _rank_normal_form_for(y, s)
     k = rnf.k
-    y1 = _keep_columns(rnf.P, range(s))
-    y2 = _keep_rows(rnf.Q, list(range(k)) + list(range(s, 2 * s - k)))
+    y1 = masked(rnf.P, cols=range(s))
+    y2 = masked(rnf.Q, rows=list(range(k)) + list(range(s, 2 * s - k)))
     return RankSFactorization(y1, y2, s)
 
 
@@ -110,8 +86,8 @@ def second_factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
         # the two spare blocks would overlap
         raise PreconditionError(
             f"no disjoint second factorization for n={n}, k={k}, s={s}")
-    y1 = _keep_columns(rnf.P, list(range(k)) + list(range(n - (s - k), n)))
-    y2 = _keep_rows(rnf.Q, range(s))
+    y1 = masked(rnf.P, cols=list(range(k)) + list(range(n - (s - k), n)))
+    y2 = masked(rnf.Q, rows=range(s))
     return RankSFactorization(y1, y2, s)
 
 
@@ -177,13 +153,13 @@ def _case_one(P: Matrix, Q: Matrix, s: int, selected) -> AdaptedFactorization:
     """x2 keeps the rows ``selected`` of Q, x1 the columns 0 and the first
     s - 1 other unselected ones of P."""
     spare = [i for i in range(1, P.n) if i not in selected][:s - 1]
-    x1 = _keep_columns(P, [0] + spare)
-    x2 = _keep_rows(Q, selected)
+    x1 = masked(P, cols=[0] + spare)
+    x2 = masked(Q, rows=selected)
     return AdaptedFactorization(x1, x2, "case-I")
 
 
 def _case_two(P: Matrix, x2: Matrix, s: int) -> AdaptedFactorization:
-    x1 = _keep_columns(P, [0] + list(range(s, 2 * s - 1)))
+    x1 = masked(P, cols=[0] + list(range(s, 2 * s - 1)))
     return AdaptedFactorization(x1, x2, "case-II")
 
 

@@ -4,11 +4,17 @@ Matrices are immutable; ``rank()`` and ``rank_normal_form()`` cache their
 result on the instance, so enumeration streams can be shared freely across
 verification loops.
 
+This module alone chooses how a matrix is stored; ``_packed`` and
+``_kronecker`` hold the two formats.  The other modules reach them only
+through ``Matrix``, ``product_sum``, ``bracket_map`` (the derivation
+bracket) and ``masked`` (the factor masks); ``factor.py``'s F_2 branch of
+``adapted_factor`` alone works on packed rows itself.
+
 Prime-field matrices are packed when their (p, n) allows it (``_packed``):
 each row is also held as one Python int with entry j in byte j, cached in
 ``_fastrep`` on first use.  Over F_2 sums and products are XORs of selected
 rows and the rank and rank normal form use XOR elimination; the rank normal
-form's P and Q come with their packed rows, and ``factor.py`` builds the
+form's P and Q come with their packed rows, and ``masked`` makes the
 factors from them with a byte mask or zeroed rows, so they are never
 packed again.  Over an odd p byte-wise sums are reduced mod p once per
 result row.  ``product_sum`` forms a b + c d, the right side of the
@@ -21,7 +27,7 @@ operations.
 
 Over Q, Q(t) and F_p(t) a matrix with polynomial entries has an integer
 form P / D (``_kronecker``), cached in ``_fastrep``.  Products over these
-fields and ``apply_derivation``'s bracket are computed on integers at
+fields and ``bracket_map``'s bracket are computed on integers at
 t = 2^B and return a ``_FormMatrix``, which holds only the form: it
 decodes its canonical rows when they are first read, two of them compare
 their forms as ints, and each hashes its decoded rows.
@@ -45,7 +51,7 @@ from dataclasses import dataclass
 
 from . import _kronecker, _packed
 from .errors import PreconditionError, UsageError
-from .fields import Field, PrimeField
+from .fields import Field, FieldDerivation, PrimeField
 
 __all__ = [
     "Matrix",
@@ -161,9 +167,6 @@ class Matrix:
         return (isinstance(other, Matrix)
                 and (other.field is self.field or other.field == self.field)
                 and other.rows == self.rows)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -347,9 +350,6 @@ class _FormMatrix(Matrix):
                     and (other.field is self.field or other.field == self.field))
         return Matrix.__eq__(self, other)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     __hash__ = Matrix.__hash__    # defining __eq__ would clear it
 
 
@@ -393,6 +393,91 @@ def product_sum(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     c._packed_rows(sp)
     return Matrix._from_packed(a.field, sp.mul2(a.rows, b._packed_rows(sp),
                                                 c.rows, d._packed_rows(sp)))
+
+
+def bracket_map(a: Matrix, mu: FieldDerivation):
+    """The map x -> A x - x A + mu(x), mu applied entrywise, with what every
+    bracket with A reuses resolved once, here:
+
+    * A packed space that interns its rows (p^n <= ``_packed.INTERN_ROWS``)
+      brackets by row tables: [A, x] = sum_i T_i[x_i], with T_i[r] =
+      [A, E_i(r)] and E_i(r) the matrix whose row i is r and whose other
+      rows are zero.  That is n lookups, one XOR or slot sum and one
+      reduction (the "method of the Four Russians" of M4RI: Albrecht, Bard
+      and Hart, ACM TOMS 2010; layout and bound in ``_packed``).  The
+      tables are made here and an entry is filled on the first lookup of
+      its row, so a map applied to m matrices holds at most n m entries,
+      never more than n p^n (49,152 at F_2, n = 12), and they die with it.
+      An entry costs about one row of ``product_sum``'s pass, so the tables
+      pay off as rows recur among the matrices one map brackets.
+    * Over Q, Q(t) and F_p(t), when every entry of A and x is a
+      polynomial, [A, x] is computed on integers at t = 2^B
+      (``_kronecker``) and held as its integer form.  When mu is c d/dt
+      with c a polynomial, c is cleared once, here, and c dx/dt is folded
+      into the same integers.
+    * Every other bracket is ``product_sum(A, x, x, -A)``: over a packed
+      prime field one pass with one reduction per row.  -A is made when a
+      bracket first needs it.
+
+    A nonzero mu that is not folded in is added entrywise after the
+    bracket.  An A or x whose entries are not canonical residues is refused
+    when it is bracketed, as every packed operation refuses it.
+    """
+    f = a.field
+    minus = None    # -A, once a bracket needs it
+
+    def generic(x):
+        nonlocal minus
+        if minus is None:
+            minus = -a
+        return product_sum(a, x, x, minus)
+
+    def plus_mu(out, x):
+        if mu.is_zero():
+            return out
+        return out + Matrix._raw(f, [[mu(e) for e in row] for row in x.rows])
+
+    if _kronecker.handles(f):
+        dt = _kronecker.scale(f, mu.scale) if mu.kind == "dt" else None
+
+        def apply(x):
+            form = _kronecker.apply(a, x, dt)
+            if form is None:
+                return plus_mu(generic(x), x)
+            out = Matrix._from_form(f, form)
+            # a folded c d/dt is in the form already
+            return out if dt is not None else plus_mu(out, x)
+        return apply
+    sp = a._space()
+    tables = None if sp is None else sp.bracket_rows(a.rows)
+    if tables is None:
+        return lambda x: plus_mu(generic(x), x)
+    return lambda x: plus_mu(Matrix._from_packed(f, sp.bracket(tables, x.rows)), x)
+
+
+def masked(m: Matrix, rows=None, cols=None) -> Matrix:
+    """``m`` with the rows outside ``rows`` and the columns outside ``cols``
+    zeroed (None keeps them all): ``m`` between two ``Matrix.diag_ones``.
+    Packed rows are masked as they stand, the columns with a byte mask, so
+    a factor of a packed matrix is never packed again."""
+    sp = m._space()
+    if sp is not None:
+        packed = m._packed_rows(sp)
+        if cols is not None:
+            mask = sp.slots(cols)
+            packed = tuple([r & mask for r in packed])
+        if rows is not None:
+            packed = tuple([r if i in rows else 0 for i, r in enumerate(packed)])
+        return Matrix._from_packed(m.field, sp.decode(packed))
+    z = m.field.zero
+    out = m.rows
+    if cols is not None:
+        keep = [j in cols for j in range(m.n)]
+        out = [[e if k else z for e, k in zip(row, keep)] for row in out]
+    if rows is not None:
+        zero_row = (z,) * m.n
+        out = [row if i in rows else zero_row for i, row in enumerate(out)]
+    return Matrix._raw(m.field, out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 reconstruction."""
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,46 @@ def test_apply_entrywise_mu(Qt):
                             FieldDerivation.scaled_dt(Qt, Qt.one))
     x = Matrix.unit(Qt, 2, 0, 0).scaled(Qt.gen)
     assert apply_derivation(d, x) == Matrix.unit(Qt, 2, 0, 0)
+
+
+def _bracket_reference(field, a_rows, x_rows, mu):
+    """A x - x A + entrywise mu(x) by generic field operations."""
+    n = len(a_rows)
+
+    def entry(u, v, i, j):
+        total = field.zero
+        for k in range(n):
+            total = field.add(total, field.mul(u[i][k], v[k][j]))
+        return total
+
+    return tuple(tuple(field.add(field.sub(entry(a_rows, x_rows, i, j),
+                                           entry(x_rows, a_rows, i, j)), mu(x_rows[i][j]))
+                       for j in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("spec, n", [("F3", 2), ("F3", 8), ("Q", 3), ("Q(t)", 2)])
+def test_apply_adds_table_or_probed_mu_after_the_bracket(spec, n):
+    # F_3 brackets by row tables at n = 2 and, past the intern bound, by
+    # product_sum at n = 8; Q and Q(t) by integer forms, and Q(t) with an
+    # entry that is not a polynomial generically.  The map's mu is a table
+    # or probes, never folded into the bracket, so it is added after it
+    field = parse_field(spec)
+    rng = random.Random(f"apply-mu|{spec}|{n}")
+    xs = [[[field.random_element(rng) for _ in range(n)] for _ in range(n)]
+          for _ in range(4)]
+    if spec == "Q(t)":
+        frac = field.inv(field.add(field.gen, field.one))
+        xs.append([[frac] + xs[0][0][1:]] + xs[0][1:])
+    if field.is_finite:
+        mu = FieldDerivation.from_table(field, {0: 0, 1: 2, 2: 1})
+    else:
+        seen = sorted({e for x in xs for row in x for e in row}, key=field.sort_key)
+        mu = FieldDerivation.from_probes(field, {e: field.random_element(rng) for e in seen})
+    assert mu.kind in ("table", "probes")
+    d = CanonicalDerivation(CanonicalDerivation.random(field, n, seed=n).A, mu)
+    for rows in xs:
+        x = Matrix(field, rows)
+        assert apply_derivation(d, x).rows == _bracket_reference(field, d.A.rows, x.rows, mu)
 
 
 def test_apply_zero_derivation(F3):

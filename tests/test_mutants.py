@@ -40,6 +40,23 @@ MUTANTS = [
      "        return tuple([BracketRows(self, minus, a >> 8 * i & first, 8 * n * i)",
      "        return tuple([BracketRows(self, minus, a >> 8 * i & first, 8 * i)",
      "tests/test_packed.py::test_fixed_a_bracket_tables"),
+    ("matrix.py", "            minus = -a", "            minus = a",
+     " ".join(f"tests/test_packed.py::test_fixed_a_bracket_tables[{p}-{n}]"
+              for p, n in ((3, 8), (3, 25), (5, 6), (5, 7)))),
+    ("matrix.py", "            return out if dt is not None else plus_mu(out, x)",
+     "            return plus_mu(out, x)",
+     "tests/test_kronecker.py::test_integer_form_bracket "
+     "tests/test_kronecker.py::test_apply_over_q_t"),
+    ("matrix.py", "        if mu.is_zero():", "        if True:",
+     "tests/test_derivations.py::test_apply_adds_table_or_probed_mu_after_the_bracket"),
+    ("matrix.py", "            packed = tuple([r & mask for r in packed])",
+     "            packed = tuple([r for r in packed])",
+     "tests/test_factor_pins.py"),
+    ("matrix.py",
+     "        out = [row if i in rows else zero_row for i, row in enumerate(out)]",
+     "        out = list(out)",
+     " ".join(f"tests/test_factor_pins.py::test_factor_outputs_pinned[{name}]"
+              for name in ("factor-F3-26", "adapted-F3-26", "factor-Q-4", "adapted-Q-4"))),
     ("derivations.py", "            return list(range(min(self.s, n) + 1))",
      "            return list(range(self.s + 1))",
      "tests/test_derivations.py::test_delta_table_text_with_s_above_n"),

@@ -1,13 +1,13 @@
 """Prime-field matrices against the reference list kernels.
 
 Every packed operation (add, sub, mul, the fused a b + c d of
-``product_sum`` and of the bracket past the intern bound, the bracket by
-fixed-A row tables within it, rank, the F_2 rank normal form and the F_2
-nullspace) must give exactly what ``_kernels_py`` gives, including the RNF
-transforms P and Q and their packed rows.  So must the generic elimination
-that serves the rest: the odd-p rank normal form, every nullspace and rref,
-square or rectangular, and every operation at a (p, n) past the slot bound,
-which must not pack at all.
+``product_sum``, which is also the bracket past the intern bound, the
+bracket by fixed-A row tables within it, rank, the F_2 rank normal form and
+the F_2 nullspace) must give exactly what ``_kernels_py`` gives, including
+the RNF transforms P and Q and their packed rows.  So must the generic
+elimination that serves the rest: the odd-p rank normal form, every
+nullspace and rref, square or rectangular, and every operation at a (p, n)
+past the slot bound, which must not pack at all.
 """
 
 import itertools
@@ -304,21 +304,30 @@ def test_uncanonical_entries_are_refused(p, n):
 
 
 @pytest.mark.parametrize("p, n", [(2, 2), (2, 4), (2, 12), (2, 13), (3, 2), (3, 4),
-                                  (3, 7), (3, 8), (5, 2), (5, 5), (5, 6), (7, 2),
-                                  (7, 3)])
-def test_fixed_a_bracket_tables(p, n):
-    # within the intern bound the bracket is n lookups in row tables of A;
-    # past it, A x + x (-A) in one pass; both must give a x - x a
+                                  (3, 7), (3, 8), (3, 25), (5, 2), (5, 5), (5, 6),
+                                  (5, 7), (7, 2), (7, 3)])
+def test_fixed_a_bracket_tables(p, n, monkeypatch):
+    # within the intern bound the bracket is n lookups in row tables of A,
+    # each entry made on the first lookup of its row; past it,
+    # product_sum(A, x, x, -A) in one pass with -A canonical (F_5 n = 7 has
+    # the largest slot sum past the bound, F_3 n = 25 the largest odd-p n
+    # that packs); both must give a x - x a
+    made, filled = [], []
+    bracket_rows, missing = _packed.Space.bracket_rows, _packed.BracketRows.__missing__
+    monkeypatch.setattr(_packed.Space, "bracket_rows",
+                        lambda sp, rows: made.append(bracket_rows(sp, rows)) or made[-1])
+    monkeypatch.setattr(_packed.BracketRows, "__missing__",
+                        lambda table, r: filled.append(r) or missing(table, r))
     field = parse_field(f"F{p}")
     D = CanonicalDerivation.random(field, n, seed=n)
-    assert (D._ring is not None) == (p ** n <= _packed.INTERN_ROWS)
+    tables = p ** n <= _packed.INTERN_ROWS
+    assert [t is not None for t in made] == [tables]
     a = D.A
     xs = _seeded(n, p, 4, "bracket")
     x = Matrix._raw(field, xs[-1])
     apply_derivation(D, x)
-    if D._ring is not None:
-        # one matrix fills at most one entry per row table
-        assert sum(map(len, D._ring[1])) <= n
+    # one matrix fills at most one entry per row table
+    assert 0 < len(filled) <= n if tables else not filled
     for rows in xs:
         x = Matrix._raw(field, rows)
         got = apply_derivation(D, x)
