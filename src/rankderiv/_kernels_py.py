@@ -9,8 +9,6 @@ required.  Matrices are sequences of row sequences of canonical residues;
 results are lists of lists.
 """
 
-BACKEND = "pure"
-
 
 def mat_add(a, b, p):
     return [[(x + y) % p for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]

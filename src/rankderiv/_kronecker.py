@@ -23,17 +23,17 @@ polynomials are then sums and products of ints:
   result entry is unpacked once and the result brought to its form once
   (``_form``): divided by the gcd of D and its coefficients, or over F_p(t)
   reduced mod p once per coefficient and trimmed;
-* ``rank`` evaluates integer rows at a 2^B where no nonzero minor
-  vanishes, and takes the integer rank by Bareiss elimination.  It serves
-  Q and Q(t) only: the integer rank of an F_p(t) matrix is not its rank
-  mod p.
+* ``int_rank`` evaluates the integer rows of a form at a 2^B where no
+  nonzero minor vanishes, and takes the integer rank by Bareiss
+  elimination.  It serves Q and Q(t) only: the integer rank of an F_p(t)
+  matrix is not its rank mod p.
 
 ``Matrix`` wraps a result in a matrix that holds only its form; ``decode``
 gives its canonical rows when they are first read.  Over Q every polynomial
 has degree 0, so its value is its one coefficient and the same code works
 on plain integers.  Matrices with an entry that is not a polynomial have
-no form: ``apply`` returns None for them, and ``rank`` clears each of
-their rows to polynomials first.
+no form: ``apply`` returns None for them, and ``Matrix`` ranks them by
+its generic elimination.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .fields import (PrimeField, Rationals, RationalFunctionField, _poly_divmod,
-                     _poly_gcd_monic, _poly_mul)
+from .fields import PrimeField, Rationals, RationalFunctionField
 
-__all__ = ["handles", "ranks", "clear", "rep", "scale", "rank", "int_rank", "apply",
-           "product", "decode"]
+__all__ = ["handles", "ranks", "clear", "rep", "scale", "int_rank", "apply", "product",
+           "decode"]
 
 
 def handles(field) -> bool:
@@ -55,7 +54,7 @@ def handles(field) -> bool:
 
 
 def ranks(field) -> bool:
-    """Whether ``rank`` serves ``field``: Q and Q(t)."""
+    """Whether ``int_rank`` serves ``field``: Q and Q(t)."""
     return isinstance(field, Rationals) or (
         isinstance(field, RationalFunctionField) and isinstance(field.base, Rationals))
 
@@ -177,20 +176,6 @@ def decode(field, form):
 # rank
 # ---------------------------------------------------------------------------
 
-def _polynomial_rows(field, rows):
-    """Each row of a Q(t) matrix times the lcm of its denominators."""
-    base, one = field.base, field._one_poly
-    out = []
-    for row in rows:
-        den = one
-        for _, d in row:
-            if d != one:
-                g = _poly_gcd_monic(base, den, d)
-                den = _poly_mul(base, den, _poly_divmod(base, d, g)[0])
-        out.append(row if den == one else [field.mul(e, (den, one)) for e in row])
-    return out
-
-
 def _bareiss_rank(m) -> int:
     """Rank of a list of integer rows, which it overwrites.
 
@@ -242,12 +227,6 @@ def int_rank(polys) -> int:
             bound *= s
     bits = bound.bit_length() + 1
     return _bareiss_rank([[_at(p, bits) for p in row] for row in polys])
-
-
-def rank(field, rows) -> int:
-    """Rank over Q or Q(t) of a possibly rectangular list of rows."""
-    r = clear(field, rows) or clear(field, _polynomial_rows(field, rows))
-    return int_rank(r[0])
 
 
 # ---------------------------------------------------------------------------

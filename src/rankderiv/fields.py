@@ -284,9 +284,6 @@ class PrimeField(Field):
     def mul(self, a, b): return (a * b) % self.p
     def neg(self, a): return (-a) % self.p
 
-    def div(self, a, b):
-        return (a * self.inv(b)) % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise DomainError(f"zero has no inverse in F_{self.p}")

@@ -32,13 +32,14 @@ t = 2^B and return a ``_FormMatrix``, which holds only the form: it
 decodes its canonical rows when they are first read, two of them compare
 their forms as ints, and each hashes its decoded rows.
 Over Q and Q(t) the rank is the integer rank at t = 2^B; over F_p(t) that
-is not the rank mod p, and the rank stays generic.  A matrix only ever
-meets the fast paths of its own field, so the slot holds one kind of value
-per field.  Other fields, and the rank normal form and nullspace over Q,
-Q(t) and F_p(t), use the generic elimination below: one forward pass,
-``_echelon``, whose steps give the rank, the reduced echelon form
-(normalized and back-substituted) and the rank normal form.  Every path
-has the same pivoting rule (first nonzero entry in column order), so
+is not the rank mod p, and the rank stays generic.  A matrix without an
+integer form takes the generic path everywhere, its rank included.  A
+matrix only ever meets the fast paths of its own field, so the slot holds
+one kind of value per field.  Other fields, and the rank normal form and
+nullspace over Q, Q(t) and F_p(t), use the generic elimination below: one
+forward pass, ``_echelon``, whose steps give the rank, the reduced echelon
+form (normalized and back-substituted) and the rank normal form.  Every
+path has the same pivoting rule (first nonzero entry in column order), so
 outputs do not depend on the representation.
 """
 
@@ -254,10 +255,9 @@ class Matrix:
             sp = self._space()
             if sp is not None:
                 self._rank = sp.rank(self._packed_rows(sp))
-            elif _kronecker.ranks(self.field):
-                r = _kronecker.rep(self)
-                self._rank = (_kronecker.int_rank(r[0]) if r
-                              else _kronecker.rank(self.field, self.rows))
+            elif _kronecker.ranks(self.field) and _kronecker.rep(self):
+                # ``rep`` caches the integer form in ``_fastrep``
+                self._rank = _kronecker.int_rank(self._fastrep[0])
             else:
                 self._rank = _gen_rank(self.rows, self.field)
         return self._rank

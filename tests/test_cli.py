@@ -1,5 +1,6 @@
 """CLI behavior: outputs, exit codes, determinism, file round trips."""
 
+import re
 import subprocess
 import sys
 
@@ -10,11 +11,12 @@ from rankderiv import (
     DeltaDomain,
     DeltaMap,
     Matrix,
+    UsageError,
     derivation_delta,
     make_delta,
     parse_field,
 )
-from rankderiv.cli import main
+from rankderiv.cli import build_parser, main
 
 
 F2 = parse_field("F2")
@@ -306,7 +308,145 @@ def test_solve_out_prefix(capsys, tmp_path):
         assert d.domain == DeltaDomain.rank_leq(1)
 
 
+# -- byte goldens --------------------------------------------------------------------
+
+E12_RANK_LEQ_1 = """\
+delta n 2 field F2 domain rank-leq(1)
+0 0 0 0 -> 0 0 0 0
+0 0 0 1 -> 0 1 0 0
+0 0 1 0 -> 1 0 0 1
+0 0 1 1 -> 1 1 0 1
+0 1 0 0 -> 0 0 0 0
+0 1 0 1 -> 0 1 0 0
+1 0 0 0 -> 0 1 0 0
+1 0 1 0 -> 1 1 0 1
+1 1 0 0 -> 0 1 0 0
+1 1 1 1 -> 1 0 0 1
+"""
+
+# the same table extended from a rank-1 table whose value at e_00 is the
+# identity: the two factorizations of the zero matrix disagree
+E12_CORRUPTED_RANK_LEQ_1 = """\
+delta n 2 field F2 domain rank-leq(1)
+0 0 0 0 -> 0 1 0 1
+0 0 0 1 -> 0 1 0 0
+0 0 1 0 -> 1 0 0 1
+0 0 1 1 -> 1 1 0 1
+0 1 0 0 -> 0 0 0 0
+0 1 0 1 -> 0 1 0 0
+1 0 0 0 -> 1 0 0 1
+1 0 1 0 -> 1 1 0 1
+1 1 0 0 -> 0 1 0 0
+1 1 1 1 -> 1 0 0 1
+"""
+
+CLI_GOLDENS = {
+    "extend-porcelain": (("extend", "--delta", "{exact}", "--porcelain"), 0,
+                         "inconsistent=0\nstatus=pass\n"),
+    "extend-stdout": (("extend", "--delta", "{exact}"), 0,
+                      "extension consistent\n" + E12_RANK_LEQ_1),
+    "extend-inconsistent": (("extend", "--delta", "{bad_exact}"), 1,
+                            "inconsistent at [0 0 0 0]\nextension inconsistent\n"
+                            + E12_CORRUPTED_RANK_LEQ_1),
+    "extend-inconsistent-porcelain": (
+        ("extend", "--delta", "{bad_exact}", "--porcelain"), 1,
+        "inconsistent=1\ninconsistency=0,0;0,0\nstatus=fail\n"),
+    "reconstruct-porcelain-pass": (
+        ("reconstruct", "--delta", "{full}", "--porcelain"), 0,
+        "A=0,1;0,0\nmu=zero\nchecked=16\nfailures=0\nstatus=pass\n"),
+    "reconstruct-porcelain-fail": (
+        ("reconstruct", "--delta", "{bad_full}", "--porcelain"), 1,
+        "A=0,1;0,0\nmu=zero\nchecked=16\nfailures=1\n"
+        "failure=1,1;0,0|rank=1|mismatch\nstatus=fail\n"),
+    "adapt": (("adapt", "--x", "{x}", "--y", "{y}", "--s", "1"), 0,
+              "case case-II\nn 2 field F2\n1 0\n0 0\n\nn 2 field F2\n1 0\n0 0\n"),
+    "enumerate-porcelain": (
+        ("enumerate", "--field", "F2", "--n", "2", "--k", "1", "--porcelain"), 0,
+        "".join(f"matrix={m}\n" for m in (
+            "0,0;0,1", "0,0;1,0", "0,0;1,1", "0,1;0,0", "0,1;0,1", "1,0;0,0",
+            "1,0;1,0", "1,1;0,0", "1,1;1,1"))),
+    "extract-table-mu": (("extract", "--delta", "{mu_table}", "--s", "1"), 0,
+                         "n 2 field F3\n0 1\n0 0\nmu table 0->0 1->0 2->1\n"),
+    "extract-table-mu-porcelain": (
+        ("extract", "--delta", "{mu_table}", "--s", "1", "--porcelain"), 0,
+        "A=0,1;0,0\nmu=table(0->0,1->0,2->1)\n"),
+    "verify-sampled-mixed": (
+        ("verify", "--delta", "{garbage}", "--s", "1", "--mode", "sampled",
+         "--pairs", "mixed", "--count", "12", "--seed", "4"), 1,
+        "violation x=[0 1 0 1] y=[0 0 1 1]\n"
+        "violation x=[1 0 1 0] y=[1 1 0 0]\n"
+        "violation x=[1 0 0 0] y=[1 1 0 0]\n"
+        "violation x=[1 1 0 0] y=[1 1 1 1]\n"
+        "checked 12 pairs (s=1, sampled-mixed(12)): 4 violation(s), fail\n"),
+}
+
+
+@pytest.fixture
+def golden_files(tmp_path):
+    """The input files of ``CLI_GOLDENS`` by name."""
+    F3 = parse_field("F3")
+    e12 = CanonicalDerivation(Matrix.unit(F2, 2, 0, 1))
+    exact = derivation_delta(e12, DeltaDomain.rank_exact(1))
+    full = make_delta(e12)
+    z = Matrix(F2, [[1, 1], [0, 0]])
+    # the inner derivation of e_01 over F3 with delta(2 e_00) given a (0, 0)
+    # entry 1, which extraction reads as mu(2) = 1
+    mu_table = derivation_delta(CanonicalDerivation(Matrix.unit(F3, 2, 0, 1)),
+                                DeltaDomain.rank_leq(1))
+    x2 = Matrix.unit(F3, 2, 0, 0).scaled(2)
+    texts = {
+        "exact": exact.to_text(),
+        "bad_exact": exact.override(Matrix.unit(F2, 2, 0, 0),
+                                    Matrix.identity(F2, 2)).to_text(),
+        "full": full.to_text(),
+        "bad_full": full.override(z, full(z) + Matrix.identity(F2, 2)).to_text(),
+        "x": Matrix.unit(F2, 2, 0, 0).to_text(),
+        "y": Matrix.unit(F2, 2, 1, 0).to_text(),
+        "mu_table": mu_table.override(x2, mu_table(x2) + Matrix.unit(F3, 2, 0, 0)).to_text(),
+        "garbage": make_delta(CanonicalDerivation.random(F2, 2, seed=31),
+                              garbage_ranks={1}, seed=32).to_text(),
+    }
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / name
+        paths[name].write_text(text)
+    return {name: str(path) for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("name", CLI_GOLDENS)
+def test_cli_output_golden(capsys, golden_files, name):
+    argv, want_code, want_out = CLI_GOLDENS[name]
+    code, out, err = run_cli(capsys, *[a.format(**golden_files) for a in argv])
+    assert (code, out, err) == (want_code, want_out, "")
+
+
 # -- plumbing ----------------------------------------------------------------------
+
+# every refusal of the CLI's own: the arguments, with {y} the file of e_00 in
+# M_4(F_2), the exception class and the message as it stands
+CLI_REFUSALS = {
+    "field-mismatch": (("factor", "--field", "F3", "--s", "2", "--in", "{y}"), UsageError,
+                       r"--field F3 does not match file field F2"),
+    "n-mismatch": (("factor", "--n", "3", "--s", "2", "--in", "{y}"), UsageError,
+                   r"--n 3 does not match file dimension 4"),
+    "sampled-without-seed": (("verify", "--delta", "{y}", "--s", "1", "--mode", "sampled"),
+                             UsageError, r"sampled mode requires --seed"),
+}
+
+
+@pytest.mark.parametrize("name", CLI_REFUSALS)
+def test_cli_refusals(capsys, e11_m4_file, name):
+    """``main`` prints the refusal and exits 2; its handler raises it."""
+    argv, cls, message = CLI_REFUSALS[name]
+    argv = [a.format(y=e11_m4_file) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert re.fullmatch(f"error: {message}\n", err)
+    args = build_parser().parse_args(argv)
+    with pytest.raises(cls, match=f"^{message}$") as exc:
+        args.handler(args)
+    assert type(exc.value) is cls
+
 
 def test_identical_invocations_identical_bytes(capsys, ad_e12_full_file):
     runs = [run_cli(capsys, "verify", "--delta", ad_e12_full_file, "--s", "1")

@@ -27,6 +27,7 @@ from rankderiv import (
     make_delta,
     parse_field,
     random_rank_k,
+    rank_count_formula,
     reconstruct_full,
     verify_hypothesis,
 )
@@ -386,6 +387,47 @@ def test_verify_sampled_requires_seed(Q):
         verify_hypothesis(delta, 1, mode="sampled")
     report = verify_hypothesis(delta, 1, mode="sampled", count=50, seed=3)
     assert report.passed and report.checked == 50
+
+
+# sampled verify, s = 1, count 40, seed 23, of a map corrupted at rank 1
+# (garbage seed 22) and of the derivation's own map: field, n, garbage ranks,
+# pairs, then the report's mode, pairs checked and violations, the sha256 of
+# the matrices delta met in call order, and the sha256 of the summary and the
+# violations as (x, y, lhs, rhs) encodings
+SAMPLED_RECORDS = [
+    ("F3", 3, {1}, "rank-s", "sampled(40)", 40, 40, "4b38d14f5bae3e25", "8b0b4cad780b6390"),
+    ("F3", 3, {1}, "mixed", "sampled-mixed(40)", 40, 14, "78b7054674b831bc", "abd085b0cd39bd5b"),
+    ("F3", 3, set(), "rank-s", "sampled(40)", 40, 0, "4b38d14f5bae3e25", "bf19223242e8f14e"),
+    ("F3", 3, set(), "mixed", "sampled-mixed(40)", 40, 0, "78b7054674b831bc", "7680d9681e9ff99c"),
+    ("Q(t)", 2, {1}, "rank-s", "sampled(40)", 40, 40, "547397283bf2fd20", "e0b8b3ef810fc695"),
+    ("Q(t)", 2, {1}, "mixed", "sampled-mixed(40)", 40, 9, "dd7675b56425e4fb", "5a4b19548b11017e"),
+    ("Q(t)", 2, set(), "rank-s", "sampled(40)", 40, 0, "547397283bf2fd20", "bf19223242e8f14e"),
+    ("Q(t)", 2, set(), "mixed", "sampled-mixed(40)", 40, 0, "dd7675b56425e4fb", "7680d9681e9ff99c"),
+]
+
+
+@pytest.mark.parametrize("spec, n, garbage, pairs, mode, checked, violations, order, report",
+                         SAMPLED_RECORDS,
+                         ids=[f"{r[0]}-n{r[1]}-{r[3]}-{'bad' if r[2] else 'good'}"
+                              for r in SAMPLED_RECORDS])
+def test_verify_sampled_reports_pinned(spec, n, garbage, pairs, mode, checked, violations,
+                                       order, report):
+    """Over Q(t) the derivation has a c d/dt part."""
+    F = parse_field(spec)
+    truth = CanonicalDerivation.random(F, n, seed=21, with_dt=spec == "Q(t)")
+    inner = make_delta(truth, garbage_ranks=garbage, seed=22)
+    calls = []
+
+    def fn(x):
+        calls.append(x.encode())
+        return inner(x)
+
+    got = verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, fn), 1,
+                            mode="sampled", count=40, seed=23, pairs=pairs)
+    assert (got.mode, got.checked, len(got.violations)) == (mode, checked, violations)
+    assert _sha(calls) == order
+    assert _sha([got.summary()]
+                + [" | ".join(m.encode() for m in v) for v in got.violations]) == report
 
 
 def test_verify_exhaustive_needs_finite_field(Q):
@@ -835,6 +877,17 @@ def test_reconstruct_gap_ranks_n4(F2):
     assert report.passed
 
 
+def test_reconstruct_flags_the_product_rule_at_a_gap_rank(F2):
+    """A map wrong only at rank 2, the gap rank of n = 4, fails the
+    product-rule check at every rank-2 matrix and nowhere else."""
+    d = CanonicalDerivation.random(F2, 4, seed=15)
+    report = reconstruct_full(make_delta(d, garbage_ranks={2}, seed=24), 4)
+    assert report.gap_ranks == (2,)
+    assert report.derivation.A == d.A
+    assert [(r, reason) for _, r, reason in report.failures] == [
+        (2, "product-rule")] * rank_count_formula(4, 2, 2)
+
+
 def test_reconstruct_guard_refuses_before_enumerating(F2, no_enumeration):
     """M_5(F_2) has 2^25 matrices; the count comes from the formula, so
     nothing is extracted, enumerated or evaluated."""
@@ -866,3 +919,60 @@ def test_reconstruct_rejects_degenerate_rank_set(F2):
     d = CanonicalDerivation.random(F2, 3, seed=16)
     with pytest.raises(PreconditionError, match="rank set"):
         reconstruct_full(make_delta(d), 3)
+
+
+# -- refusals ----------------------------------------------------------------------
+
+_Q, _F2, _F3 = parse_field("Q"), parse_field("F2"), parse_field("F3")
+_E01 = CanonicalDerivation(Matrix.unit(_F2, 2, 0, 1))
+_HEADER = "delta n 2 field F2 domain full\n"
+
+# every refusal of the derivation API that no other test reaches: the call,
+# the exception class and the message as it stands
+REFUSALS = {
+    "mu-field": (lambda: CanonicalDerivation(Matrix.zero(_F2, 2), FieldDerivation.zero(_F3)),
+                 UsageError, r"^mu must live on the matrix entry field$"),
+    "random-dt-over-fp": (lambda: CanonicalDerivation.random(_F2, 2, seed=0, with_dt=True),
+                          UsageError, r"^no d/dt over F2$"),
+    "domain-kind": (lambda: DeltaDomain("rank-geq", 1), UsageError,
+                    r"^unknown domain kind 'rank-geq'$"),
+    "domain-rank": (lambda: DeltaDomain("rank-leq"), UsageError,
+                    r"^domain rank-leq needs a rank parameter$"),
+    "domain-token": (lambda: DeltaDomain.from_token("rank-leq[1]"), UsageError,
+                     r"^unknown domain token 'rank-leq\[1\]'$"),
+    "tabulate-infinite": (lambda: make_delta(CanonicalDerivation(Matrix.zero(_Q, 2))).tabulate(),
+                          UsageError, r"^cannot tabulate a map over an infinite field$"),
+    "text-empty": (lambda: DeltaMap.from_text(""), UsageError, r"^empty delta table text$"),
+    "text-header": (lambda: DeltaMap.from_text("delta n 2 field F2\n"), UsageError,
+                    r"^bad delta table header 'delta n 2 field F2'$"),
+    "text-record": (lambda: DeltaMap.from_text(_HEADER + "0 0 0 0 -> 0 0 0 0 -> 0\n"),
+                    UsageError, r"^bad delta table record '0 0 0 0 -> 0 0 0 0 -> 0'$"),
+    "text-entries": (lambda: DeltaMap.from_text(_HEADER + "0 0 0 -> 0 0 0 0\n"), UsageError,
+                     r"^expected 4 entries per side in record '0 0 0 -> 0 0 0 0'$"),
+    "garbage-ranks": (lambda: make_delta(_E01, garbage_ranks={3}), UsageError,
+                      r"^garbage ranks \[3\] outside \[0, 2\]$"),
+    "verify-pairs": (lambda: verify_hypothesis(make_delta(_E01), 1, pairs="all"), UsageError,
+                     r"^unknown pair selection 'all'$"),
+    "verify-mode": (lambda: verify_hypothesis(make_delta(_E01), 1, mode="random"), UsageError,
+                    r"^unknown verification mode 'random'$"),
+    "combine-rings": (lambda: check_linear_combination(
+        make_delta(_E01), make_delta(CanonicalDerivation(Matrix.zero(_F2, 3))), 1, 1, 1),
+        UsageError, r"^cannot combine delta maps over different rings$"),
+    "extend-without-s": (lambda: extend_to_low_ranks(make_delta(_E01)), UsageError,
+                         r"^extend_to_low_ranks needs a rank-exact domain or s$"),
+    "extend-rank": (lambda: extend_to_low_ranks(make_delta(_E01), s=2), PreconditionError,
+                    r"^need 1 <= s <= n/2, got s=2, n=2$"),
+    "extend-infinite": (lambda: extend_to_low_ranks(
+        make_delta(CanonicalDerivation(Matrix.zero(_Q, 2))), s=1), UsageError,
+        r"^extension tabulates the domain; needs a finite field$"),
+    "reconstruct-n": (lambda: reconstruct_full(make_delta(_E01), 3), UsageError,
+                      r"^delta is over n=2, not n=3$"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_derivation_refusals(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls, match=message) as err:
+        call()
+    assert type(err.value) is cls

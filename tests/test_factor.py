@@ -202,3 +202,21 @@ def test_rank_set_and_cover_rank_up_to_128():
             assert 2 * s - n <= k
             if k in members:
                 assert s == k
+
+
+# -- refusals ----------------------------------------------------------------------
+
+# every refusal of the factor API that no other test reaches: the call, the
+# exception class and the message as it stands
+REFUSALS = {
+    "cover-rank": (lambda: cover_rank(4, 5), PreconditionError,
+                   r"^rank 5 out of range for n=4$"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_factor_refusals(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls, match=message) as err:
+        call()
+    assert type(err.value) is cls

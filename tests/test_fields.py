@@ -13,6 +13,7 @@ import pytest
 from rankderiv import (
     DomainError,
     FieldDerivation,
+    RationalFunctionField,
     UsageError,
     derive,
     eval_arith,
@@ -222,3 +223,50 @@ def test_fp_canonical_idempotent(F7):
         v = F7.mul(a, b)
         assert F7.canonical(v) == v
         assert 0 <= v < 7
+
+
+# -- refusals ----------------------------------------------------------------------
+
+Q, F3 = parse_field("Q"), parse_field("F3")
+
+# every refusal of the field API that no other test reaches: the call, the
+# exception class and the message as it stands
+REFUSALS = {
+    "infinite-elements": (lambda: Q.elements(), UsageError,
+                          r"^field Q is infinite; cannot enumerate$"),
+    "arith-op": (lambda: F3.arith(1, 2, "pow"), UsageError, r"^unknown arithmetic op 'pow'$"),
+    "nested-base": (lambda: RationalFunctionField(QT), UsageError,
+                    r"^rational function base must be Q or a prime field$"),
+    "zero-denominator": (lambda: QT.canonical(((Fraction(1),), ())), DomainError,
+                         r"^zero denominator in Q\(t\)$"),
+    "inverse-of-zero": (lambda: QT.inv(QT.zero), DomainError,
+                        r"^zero has no inverse in Q\(t\)$"),
+    "not-a-value": (lambda: QT.validate(3), UsageError, r"^3 is not a Q\(t\) value$"),
+    "bad-character": (lambda: QT.parse("t & 1"), UsageError,
+                      r"^bad character in element literal 't & 1'$"),
+    "empty-literal": (lambda: QT.parse(""), UsageError, r"^empty element literal$"),
+    "trailing-junk": (lambda: Q.parse("1 2"), UsageError,
+                      r"^trailing junk in element literal '1 2'$"),
+    "exponent": (lambda: QT.parse("t^t"), UsageError,
+                 r"^exponent must be a nonnegative integer in 't\^t'$"),
+    "unexpected-end": (lambda: QT.parse("1+"), UsageError,
+                       r"^unexpected end of element literal '1\+'$"),
+    "unbalanced": (lambda: QT.parse("(1+t"), UsageError,
+                   r"^unbalanced parentheses in '\(1\+t'$"),
+    "unexpected-token": (lambda: QT.parse(")"), UsageError,
+                         r"^unexpected token '\)' in element literal '\)'$"),
+    "t-outside-a-function-field": (lambda: Q.parse("t"), UsageError,
+                                   r"^'t' is not an element of Q$"),
+    "table-over-infinite-field": (lambda: FieldDerivation.from_table(Q, {}), UsageError,
+                                  r"^total tables require a finite field$"),
+    "incomplete-table": (lambda: FieldDerivation.from_table(F3, {0: 0, 1: 0}), UsageError,
+                         r"^table does not cover the whole field$"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_field_refusals(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls, match=message) as err:
+        call()
+    assert type(err.value) is cls

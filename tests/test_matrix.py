@@ -13,6 +13,7 @@ from rankderiv import (
     enumerate_rank_k,
     mat_arith,
     random_rank_k,
+    parse_field,
     rank_count_formula,
     random_rank_k as _rrk,
 )
@@ -247,3 +248,35 @@ def test_matrix_text_rejects_garbage():
         Matrix.from_text("n 2 field F2\n1 0\n")
     with pytest.raises(UsageError):
         Matrix.from_text("n 2 field F2\n1 0 1\n0 1 0\n")
+
+
+# -- refusals ----------------------------------------------------------------------
+
+_Q, _F2 = parse_field("Q"), parse_field("F2")
+
+# every refusal of the matrix API that no other test reaches: the call, the
+# exception class and the message as it stands
+REFUSALS = {
+    "not-square": (lambda: Matrix(_Q, [[1, 2]]), UsageError,
+                   r"^matrix must be square with n >= 1$"),
+    "empty": (lambda: Matrix(_Q, []), UsageError, r"^matrix must be square with n >= 1$"),
+    "not-a-matrix": (lambda: Matrix.identity(_Q, 2) * 3, UsageError,
+                     r"^expected a Matrix, got int$"),
+    "empty-text": (lambda: Matrix.from_text(""), UsageError, r"^empty matrix text$"),
+    "arith-op": (lambda: mat_arith(Matrix.identity(_Q, 2), Matrix.identity(_Q, 2), "div"),
+                 UsageError, r"^unknown matrix op 'div'$"),
+    "count-rank": (lambda: rank_count_formula(2, 3, 2), PreconditionError,
+                   r"^rank 3 out of range for n=2$"),
+    "enumerate-rank": (lambda: list(enumerate_rank_k(2, 3, _F2)), PreconditionError,
+                       r"^rank 3 out of range for n=2$"),
+    "enumerate-all-infinite": (lambda: next(enumerate_all(2, _Q)), UsageError,
+                               r"^cannot enumerate matrices over infinite field Q$"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_matrix_refusals(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls, match=message) as err:
+        call()
+    assert type(err.value) is cls

@@ -65,6 +65,31 @@ MUTANTS = [
      "tests/test_derivations.py::test_verify_inner_derivation_pass"),
     ("factor.py", "    selected = [0]", "    selected = []",
      "tests/test_factor.py::test_select_independent_bits_matches_field_rows"),
+    ("matrix.py", "            elif _kronecker.ranks(self.field) and _kronecker.rep(self):",
+     "            elif _kronecker.ranks(self.field):",
+     "tests/test_kronecker.py::test_rank_rows_with_polynomial_denominators"),
+    ("derivations.py", "        if lhs != rhs:", "        if False:",
+     "tests/test_derivations.py::test_verify_sampled_reports_pinned"),
+    ("derivations.py", "            x, y = y, x", "            pass",
+     "tests/test_derivations.py::test_verify_sampled_reports_pinned"),
+    ("derivations.py",
+     "            if dz != product_sum(delta(f.y1), f.y2, f.y1, delta(f.y2)):",
+     "            if False:",
+     "tests/test_derivations.py::test_reconstruct_flags_the_product_rule_at_a_gap_rank"),
+    # one refusal per module, its condition inverted
+    ("cli.py", "    if expected_n and expected_n != obj.n:",
+     "    if expected_n and expected_n == obj.n:", "tests/test_cli.py::test_cli_refusals"),
+    ("derivations.py", "    if any(not 0 <= g <= n for g in garbage):",
+     "    if any(0 <= g <= n for g in garbage):",
+     "tests/test_derivations.py::test_derivation_refusals"),
+    ("factor.py", "    if not 0 <= k <= n:", "    if 0 <= k <= n:",
+     "tests/test_factor.py::test_factor_refusals"),
+    ("fields.py", "        if len(table) != field.order:", "        if len(table) == field.order:",
+     "tests/test_fields.py::test_field_refusals"),
+    ("matrix.py", "        if not lines:", "        if lines:",
+     "tests/test_matrix.py::test_matrix_refusals"),
+    ("solver.py", "    if not (1 <= s and 2 * s <= n):", "    if 1 <= s and 2 * s <= n:",
+     "tests/test_solver.py::test_solver_refusals"),
 ]
 
 

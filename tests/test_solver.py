@@ -7,6 +7,7 @@ import random
 import pytest
 
 from rankderiv import (
+    PreconditionError,
     ResourceLimitError,
     UsageError,
     apply_derivation,
@@ -14,6 +15,7 @@ from rankderiv import (
     enumerate_all,
     enumerate_rank_k,
     extract_derivation,
+    parse_field,
     rank_count,
     rank_count_formula,
     solution_space,
@@ -237,3 +239,23 @@ def test_rank_count_matches_formula(F2, F3):
 def test_rank_count_guard(F3):
     with pytest.raises(ResourceLimitError):
         rank_count(6, 3, F3)
+
+
+# -- refusals ----------------------------------------------------------------------
+
+# every refusal of the solver API that no other test reaches: the call, the
+# exception class and the message as it stands
+REFUSALS = {
+    "count-over-infinite-field": (lambda: rank_count(2, 1, parse_field("Q")), UsageError,
+                                  r"^rank counting requires a finite field$"),
+    "system-rank": (lambda: build_constraint_system(2, 2, parse_field("F2")),
+                    PreconditionError, r"^need 1 <= s <= n/2, got s=2, n=2$"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_solver_refusals(name):
+    call, cls, message = REFUSALS[name]
+    with pytest.raises(cls, match=message) as err:
+        call()
+    assert type(err.value) is cls
