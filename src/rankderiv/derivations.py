@@ -26,10 +26,11 @@ and ``apply_derivation`` checks x against A and calls it.
 the product rule on pairs of rank-s matrices: it reads the images of the
 unit matrices once, checks the structural identities any genuine such map
 must satisfy (raising ExtractionError naming the first one that fails), and
-materializes mu either as a total table (finite fields) or by probing and
-fitting (infinite fields).  A product with a unit matrix only selects a row
-or a column, so each identity, A and mu are read off single entries of
-those images; no matrix product or bracket is formed.
+reads mu off delta(c e_00): at every c over a finite field (a total table)
+and at c = t over a function field (mu(t) d/dt); over Q mu is zero.  A
+product with a unit matrix only selects a row or a column, so each
+identity, A and mu are read off single entries of those images; no matrix
+product or bracket is formed.
 """
 
 from __future__ import annotations
@@ -595,19 +596,15 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
     rule on rank-s pairs; needs the map only on matrices of rank <= 1.
 
     Raises ExtractionError naming the first structural identity that fails
-    (which certifies the input is not such a map).  Over a function field
-    every mu is c d/dt, which vanishes wherever d/dt does, so ``probes`` must
-    hold an element with a nonzero derivative (t will do); PreconditionError
-    is raised otherwise.
+    (which certifies the input is not such a map).  mu(c) is entry (0, 0)
+    of delta(c e_00): read at every c over F_p, giving a table; at c = t
+    over Q(t) and F_p(t), where a derivation is mu(t) d/dt; nowhere over Q,
+    where it is zero.  Over an infinite field delta is also read at each of
+    ``probes``; if one disagrees with mu, the result's mu is the probe table.
     """
     n, fld = delta.n, delta.field
     if not (n >= 2 and 1 <= s and 2 * s <= n):
         raise PreconditionError(f"need n >= 2 and 1 <= s <= n/2, got n={n}, s={s}")
-    if isinstance(fld, RationalFunctionField) and all(
-            fld.derivative(fld.canonical(p)) == fld.zero for p in probes):
-        raise PreconditionError(
-            f"no probe has a nonzero derivative, so mu over {fld.spec()} is "
-            f"undetermined; probe an element such as t")
     units = [[Matrix.unit(fld, n, i, j) for j in range(n)] for i in range(n)]
     zero = fld.zero
 
@@ -668,16 +665,12 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
         for probe in probes:
             probe = fld.canonical(probe)
             vals[probe] = mu_value(probe)
-        if all(v == fld.zero for v in vals.values()):
-            mu = FieldDerivation.zero(fld)
-        elif isinstance(fld, RationalFunctionField):
-            probe = next(p for p in vals if fld.derivative(p) != fld.zero)
-            scale = fld.div(vals[probe], fld.derivative(probe))
-            if all(v == fld.mul(scale, fld.derivative(p)) for p, v in vals.items()):
-                mu = FieldDerivation.scaled_dt(fld, scale)
-            else:
-                mu = FieldDerivation.from_probes(fld, vals)
+        if isinstance(fld, RationalFunctionField):
+            t = fld.gen
+            mu = FieldDerivation.scaled_dt(fld, vals[t] if t in vals else mu_value(t))
         else:
+            mu = FieldDerivation.zero(fld)
+        if any(mu(p) != v for p, v in vals.items()):
             mu = FieldDerivation.from_probes(fld, vals)
 
     return CanonicalDerivation(a, mu)
@@ -713,7 +706,7 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
     Exhaustive over finite fields (refused with ResourceLimitError, before
     extracting, above ``VERIFY_GUARD`` matrices); sampled (``count``
     points, seed required, refused before extracting without one)
-    otherwise."""
+    otherwise.  ``probes`` go to ``extract_derivation``, which needs none."""
     if delta.n != n:
         raise UsageError(f"delta is over n={delta.n}, not n={n}")
     fld = delta.field

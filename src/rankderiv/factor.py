@@ -82,10 +82,6 @@ def second_factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
     the top of the index range instead of right after rank(y))."""
     rnf = _rank_normal_form_for(y, s)
     n, k = y.n, rnf.k
-    if n < 2 * s - k:
-        # the two spare blocks would overlap
-        raise PreconditionError(
-            f"no disjoint second factorization for n={n}, k={k}, s={s}")
     y1 = masked(rnf.P, cols=list(range(k)) + list(range(n - (s - k), n)))
     y2 = masked(rnf.Q, rows=range(s))
     return RankSFactorization(y1, y2, s)

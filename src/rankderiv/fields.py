@@ -14,9 +14,9 @@ are immutable and safe to share between threads.
 
 ``FieldDerivation`` models additive maps ``mu`` with
 ``mu(ab) = a*mu(b) + mu(a)*b``.  Ground truth is constructible only as the
-zero map or ``c * d/dt`` over a function field; total tables over finite
-fields and partial probe tables also occur as outputs of derivation
-extraction.
+zero map or ``c * d/dt`` over a function field; derivation extraction also
+returns total tables over finite fields, and partial probe tables when a
+probe it was given disagrees with the zero map or ``c * d/dt``.
 """
 
 from __future__ import annotations

@@ -11,17 +11,23 @@ against extraction.
 
 The nullspace is found by incremental Gauss-Jordan elimination on the
 coefficient dicts, one routine for every prime.  The pivot block is kept
-fully reduced: each pivot row is 1 at its lead (its lowest column) and 0
+fully reduced: each pivot row is 1 at its lead (its highest column) and 0
 at every other pivot's lead.  A new equation is then reduced in one pass,
 subtracting f * pivot[c] for each pivot column c of its own support with
 f read from the equation as given (a reduced pivot never changes another
-pivot column).  A nonzero remainder is normalized at its lowest column,
+pivot column).  A nonzero remainder is normalized at its highest column,
 that column is eliminated from the pivots that hold it, and it joins the
 block.  Most of the equations are redundant and reduce to zero after
 touching only the few pivots at their own 2n + 1 columns, and no
-back-substitution pass is needed.  The reduced echelon form is unique, so
-the basis (one vector per free column, ascending) does not depend on the
-order of elimination.
+back-substitution pass is needed.
+
+The basis read off the block is already the reduced echelon form of the
+kernel.  A new lead is never an older pivot's column, so clearing it from
+an older row adds only columns below that row's lead: every pivot row stays
+supported at or below its lead.  So the basis vector of a free column f is
+1 at f, 0 at every other free column, and nonzero only at leads above f.
+That form is unique, so the basis (one vector per free column, ascending)
+does not depend on the order of elimination.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from dataclasses import dataclass
 
 from .derivations import DeltaDomain, DeltaMap
 from .errors import PreconditionError, UsageError, guard
-from .matrix import (Matrix, _gen_rref, enumerate_rank_k, rank_count_formula,
-                     rank_domain, rank_total)
+from .matrix import (Matrix, enumerate_rank_k, rank_count_formula, rank_domain,
+                     rank_total)
 
 __all__ = [
     "ConstraintSystem",
@@ -117,8 +123,9 @@ def _subtract(row, f, pivot, p):
 
 def _nullspace(rows, ncols, p):
     """Right kernel over F_p of ``rows``, coefficient dicts whose values lie
-    in 1..p-1: one vector per free column, ascending, with 1 at its free
-    column (incremental Gauss-Jordan; see the module docstring)."""
+    in 1..p-1, in reduced echelon form: one vector per free column,
+    ascending, with 1 at its free column (incremental Gauss-Jordan; see the
+    module docstring)."""
     pivots = {}
     for coeffs in rows:
         row = dict(coeffs)
@@ -128,7 +135,7 @@ def _nullspace(rows, ncols, p):
                 _subtract(row, f, piv, p)
         if not row:
             continue
-        lead = min(row)
+        lead = max(row)
         inv = pow(row[lead], -1, p)
         new = {c: (v * inv) % p for c, v in row.items()}
         for r in pivots.values():
@@ -153,16 +160,12 @@ def _nullspace(rows, ncols, p):
 def solution_space(n: int, s: int, field):
     """Exact nullspace of the constraint system: (dimension, basis DeltaMaps).
 
-    The basis is canonicalized to the reduced echelon form of the nullspace,
-    each vector reinterpreted as a table-backed map on the rank <= s domain.
+    The basis is the reduced echelon form of the nullspace, as ``_nullspace``
+    returns it, each vector reinterpreted as a table-backed map on the
+    rank <= s domain.
     """
     system = build_constraint_system(n, s, field)
-    ncols = system.unknown_count
-    p = field.order
-    basis = _nullspace(system.rows, ncols, p)
-    if basis:
-        rref_rows, _ = _gen_rref(basis, field)
-        basis = rref_rows[: len(basis)]
+    basis = _nullspace(system.rows, system.unknown_count, field.order)
     nn = n * n
     maps = []
     for vec in basis:

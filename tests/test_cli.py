@@ -10,13 +10,15 @@ from rankderiv import (
     CanonicalDerivation,
     DeltaDomain,
     DeltaMap,
+    FieldDerivation,
     Matrix,
     UsageError,
+    apply_derivation,
     derivation_delta,
     make_delta,
     parse_field,
 )
-from rankderiv.cli import build_parser, main
+from rankderiv.cli import _pm, build_parser, main
 
 
 F2 = parse_field("F2")
@@ -215,9 +217,9 @@ def test_extract(capsys, tmp_path):
     assert out.splitlines() == ["A=0,1;0,0", "mu=zero"]
 
 
-def test_extract_function_field_needs_a_probe(capsys, tmp_path):
+def test_extract_function_field_needs_no_probe(capsys, tmp_path):
     # the table of A = 0, mu = 3 d/dt on rank <= 1 matrices the extraction
-    # reads; with no probe of nonzero derivative mu is undetermined
+    # reads; mu is read off the value at t e_00
     path = tmp_path / "dt3.delta"
     path.write_text("delta n 2 field Q(t) domain rank-leq(1)\n"
                     "1 0 0 0 -> 0 0 0 0\n"
@@ -226,9 +228,7 @@ def test_extract_function_field_needs_a_probe(capsys, tmp_path):
                     "0 0 0 1 -> 0 0 0 0\n"
                     "t 0 0 0 -> 3 0 0 0\n")
     code, out, err = run_cli(capsys, "extract", "--delta", str(path), "--s", "1")
-    assert code == 2
-    assert out == ""
-    assert "no probe has a nonzero derivative" in err
+    assert (code, out, err) == (0, "n 2 field Q(t)\n0 0\n0 0\nmu dt 3\n", "")
 
 
 def test_extend(capsys, tmp_path):
@@ -340,6 +340,33 @@ delta n 2 field F2 domain rank-leq(1)
 1 1 1 1 -> 1 0 0 1
 """
 
+
+def _dt_truth(spec, rows, c):
+    field = parse_field(spec)
+    a = Matrix(field, [[field.parse(e) for e in row.split()] for row in rows])
+    return CanonicalDerivation(a, FieldDerivation.scaled_dt(field, field.parse(c)))
+
+
+# derivations with a nonzero c d/dt, whose extraction reads mu off t e_00
+DT_TRUTHS = {
+    "qt_dt": _dt_truth("Q(t)", ("0 t", "1/2 t+1"), "3"),
+    "f3t_dt": _dt_truth("F3(t)", ("0 1", "t 2"), "2*t"),
+}
+
+
+def _dt_table_text(d):
+    """The table of d at the matrices extraction reads: each e_ij and t e_00."""
+    field = d.field
+
+    def flat(m):
+        return " ".join(field.format(e) for row in m.rows for e in row)
+
+    keys = [Matrix.unit(field, 2, i, j) for i in range(2) for j in range(2)]
+    keys.append(Matrix.unit(field, 2, 0, 0).scaled(field.gen))
+    return (f"delta n 2 field {field.spec()} domain rank-leq(1)\n"
+            + "".join(f"{flat(x)} -> {flat(apply_derivation(d, x))}\n" for x in keys))
+
+
 CLI_GOLDENS = {
     "extend-porcelain": (("extend", "--delta", "{exact}", "--porcelain"), 0,
                          "inconsistent=0\nstatus=pass\n"),
@@ -370,6 +397,16 @@ CLI_GOLDENS = {
     "extract-table-mu-porcelain": (
         ("extract", "--delta", "{mu_table}", "--s", "1", "--porcelain"), 0,
         "A=0,1;0,0\nmu=table(0->0,1->0,2->1)\n"),
+    "extract-qt-dt": (("extract", "--delta", "{qt_dt}", "--s", "1"), 0,
+                      "n 2 field Q(t)\n0 t\n1/2 t+1\nmu dt 3\n"),
+    "extract-qt-dt-porcelain": (
+        ("extract", "--delta", "{qt_dt}", "--s", "1", "--porcelain"), 0,
+        "A=0,t;1/2,t+1\nmu=dt(3)\n"),
+    "extract-f3t-dt": (("extract", "--delta", "{f3t_dt}", "--s", "1"), 0,
+                       "n 2 field F3(t)\n0 1\nt 2\nmu dt 2*t\n"),
+    "extract-f3t-dt-porcelain": (
+        ("extract", "--delta", "{f3t_dt}", "--s", "1", "--porcelain"), 0,
+        "A=0,1;t,2\nmu=dt(2*t)\n"),
     "verify-sampled-mixed": (
         ("verify", "--delta", "{garbage}", "--s", "1", "--mode", "sampled",
          "--pairs", "mixed", "--count", "12", "--seed", "4"), 1,
@@ -405,6 +442,7 @@ def golden_files(tmp_path):
         "mu_table": mu_table.override(x2, mu_table(x2) + Matrix.unit(F3, 2, 0, 0)).to_text(),
         "garbage": make_delta(CanonicalDerivation.random(F2, 2, seed=31),
                               garbage_ranks={1}, seed=32).to_text(),
+        **{name: _dt_table_text(d) for name, d in DT_TRUTHS.items()},
     }
     paths = {}
     for name, text in texts.items():
@@ -418,6 +456,15 @@ def test_cli_output_golden(capsys, golden_files, name):
     argv, want_code, want_out = CLI_GOLDENS[name]
     code, out, err = run_cli(capsys, *[a.format(**golden_files) for a in argv])
     assert (code, out, err) == (want_code, want_out, "")
+
+
+@pytest.mark.parametrize("name", DT_TRUTHS)
+def test_extract_dt_goldens_print_the_truth(name):
+    d = DT_TRUTHS[name]
+    golden = "extract-" + name.replace("_", "-")
+    assert CLI_GOLDENS[golden][2] == d.A.to_text() + f"mu {d.mu.describe()}\n"
+    assert CLI_GOLDENS[golden + "-porcelain"][2] == (
+        f"A={_pm(d.A)}\nmu=dt({d.field.format(d.mu.scale)})\n")
 
 
 # -- plumbing ----------------------------------------------------------------------

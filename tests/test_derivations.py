@@ -822,23 +822,31 @@ def test_extract_mu_probe_table_when_unfittable(Qt):
         got.mu(Qt.add(t, Qt.one))
 
 
-def test_extract_function_field_needs_a_probe_with_a_derivative(Q, Qt):
+def test_extract_function_field_needs_no_probe(Q, Qt):
+    # mu is read off delta(t e_00), so no probe is needed; a probe with a zero
+    # derivative is checked like any other
     d = CanonicalDerivation(Matrix.zero(Qt, 2),
                             FieldDerivation.scaled_dt(Qt, Qt.from_int(3)))
     delta = derivation_delta(d)
-    for probes in ((), [Qt.one]):
-        with pytest.raises(PreconditionError, match="nonzero derivative"):
-            extract_derivation(delta, 1, probes=probes)
-    assert extract_derivation(delta, 1, probes=[Qt.one, Qt.gen]).mu == d.mu
+    for probes in ((), [Qt.one], [Qt.one, Qt.gen]):
+        assert extract_derivation(delta, 1, probes=probes).mu == d.mu
     # t^3 has a zero derivative over F3(t)
     F3t = parse_field("F3(t)")
     t = F3t.gen
     d = CanonicalDerivation(Matrix.zero(F3t, 2), FieldDerivation.scaled_dt(F3t, F3t.one))
-    with pytest.raises(PreconditionError, match="nonzero derivative"):
-        extract_derivation(derivation_delta(d), 1, probes=[F3t.mul(t, F3t.mul(t, t))])
-    # over Q the only derivation is zero, so no probe is needed
+    got = extract_derivation(derivation_delta(d), 1, probes=[F3t.mul(t, F3t.mul(t, t))])
+    assert got.mu == d.mu
+    # over Q the only derivation is zero
     q = CanonicalDerivation(Matrix.unit(Q, 2, 0, 1))
     assert extract_derivation(derivation_delta(q), 1).mu.is_zero()
+    # seeded derivations with a nonzero c d/dt come back whole without probes
+    for spec in ("Q(t)", "F2(t)", "F3(t)"):
+        field = parse_field(spec)
+        for n in (2, 3, 4):
+            for seed in range(3):
+                d = CanonicalDerivation.random(field, n, seed=seed, with_dt=True)
+                assert not d.mu.is_zero()
+                assert extract_derivation(derivation_delta(d), 1) == d, (spec, n, seed)
 
 
 def test_extract_preconditions(F2):

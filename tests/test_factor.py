@@ -11,6 +11,7 @@ from rankderiv import (
     cover_rank,
     enumerate_rank_k,
     factor_rank_s,
+    parse_field,
     rank_set,
 )
 from rankderiv.factor import _select_independent_bits, second_factor_rank_s
@@ -211,6 +212,9 @@ def test_rank_set_and_cover_rank_up_to_128():
 REFUSALS = {
     "cover-rank": (lambda: cover_rank(4, 5), PreconditionError,
                    r"^rank 5 out of range for n=4$"),
+    "second-factor-rank": (
+        lambda: second_factor_rank_s(Matrix.zero(parse_field("F2"), 2), 2),
+        PreconditionError, r"^rank 0 below lower bound 2s-n=2$"),
 }
 
 

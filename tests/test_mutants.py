@@ -76,6 +76,11 @@ MUTANTS = [
      "            if dz != product_sum(delta(f.y1), f.y2, f.y1, delta(f.y2)):",
      "            if False:",
      "tests/test_derivations.py::test_reconstruct_flags_the_product_rule_at_a_gap_rank"),
+    ("solver.py", "        lead = max(row)", "        lead = min(row)",
+     "tests/test_solver.py::test_nullspace_matches_dense_kernel "
+     "tests/test_solver.py::test_solution_basis_bytes_pinned"),
+    ("derivations.py", "            t = fld.gen", "            t = fld.one",
+     "tests/test_derivations.py::test_extract_function_field_needs_no_probe"),
     # one refusal per module, its condition inverted
     ("cli.py", "    if expected_n and expected_n != obj.n:",
      "    if expected_n and expected_n == obj.n:", "tests/test_cli.py::test_cli_refusals"),
