@@ -44,6 +44,14 @@ held by a ``derivations.CanonicalDerivation``); at most n p^n entries,
 49,152 at F_2, n = 12, the most of any space.  A's rows are checked and
 packed once, when its tables are made, and an entry is built from them
 with a few integer operations (``BracketRows``), about one row of ``mul2``.
+
+The exhaustive pair loops (``matrix.RankDomain``) key a whole matrix the
+same way, row a in slots n a .. n a + n - 1 (``key``): one int over F_2,
+the n^2 canonical bytes over an odd p.  A fixed right factor M has n
+row-product tables, table a mapping a packed row r to r M shifted to row a
+(``RowProducts``), so the key of X M is n lookups and one sum, and the key
+of A B + C D is two such sums, XOR-ed over F_2 and otherwise added, at
+most 2 n (p-1)^2 per slot, within ``mul2``'s bound, and reduced once.
 """
 
 from __future__ import annotations
@@ -222,6 +230,44 @@ class Space:
         intern = self.intern
         return tuple([intern[raw[k:k + n]] for k in range(0, n * n, n)]), None
 
+    # -- whole-matrix keys and row products -----------------------------------
+
+    def key(self, packed):
+        """The key of the matrix with packed rows ``packed``: over F_2 one int
+        of n^2 slots, row a in slots n a .. n a + n - 1; over an odd p those
+        n^2 canonical slots as bytes, as ``product_key`` reduces them."""
+        n = self.n
+        if self.p == 2:
+            return sum([r << 8 * n * a for a, r in enumerate(packed)])
+        return b"".join([r.to_bytes(n, "little") for r in packed])
+
+    def row_products(self, packed):
+        """The row-product tables of the matrix M with canonical packed rows
+        ``packed``, empty until looked up: table a maps a packed row r to
+        r M moved to row a of a key (``RowProducts``)."""
+        n = self.n
+        return tuple([RowProducts(self, packed, 8 * n * a) for a in range(n)])
+
+    def product_key(self, rows, tables):
+        """The key of X M, for X's canonical packed ``rows`` and M's
+        ``row_products`` tables: n lookups and one sum, exact over F_2,
+        where the rows fill disjoint slots, and reduced once over an odd p."""
+        total = sum(map(dict.__getitem__, tables, rows))
+        if self.p == 2:
+            return total
+        return total.to_bytes(self.n * self.n, "little").translate(self.mod)
+
+    def rule_key(self, a_rows, b_tables, c_rows, d_tables):
+        """The key of A B + C D, for packed rows of A and C and tables of B
+        and D, all canonical.  Over an odd p each slot sums to at most
+        2 n (p-1)^2, within the bound of ``mul2`` that ``fits`` imposes, and
+        is reduced once."""
+        ab = sum(map(dict.__getitem__, b_tables, a_rows))
+        cd = sum(map(dict.__getitem__, d_tables, c_rows))
+        if self.p == 2:
+            return ab ^ cd
+        return (ab + cd).to_bytes(self.n * self.n, "little").translate(self.mod)
+
     # -- elimination ------------------------------------------------------------
 
     def rank(self, packed) -> int:
@@ -371,5 +417,30 @@ class BracketRows(dict):
                 reduce(xor, itertools.compress(self.minus, r), 0) << self.shift)
         else:
             entry = rp * self.column + (sum(map(mul, r, self.minus)) << self.shift)
+        self[r] = entry
+        return entry
+
+
+class RowProducts(dict):
+    """Table a of a fixed M: a canonical packed row r -> r M as one packed
+    row, moved to row a of a key by ``shift``, built on the first lookup of
+    r, so it holds at most p^n entries.  Over F_2 an entry is the XOR of the
+    rows of M that r selects; over an odd p their slot sum, at most
+    n (p-1)^2, left unreduced."""
+
+    __slots__ = ("space", "packed", "shift")
+
+    def __init__(self, space, packed, shift):
+        self.space = space
+        self.packed = packed
+        self.shift = shift
+
+    def __missing__(self, r):
+        sp = self.space
+        coeffs = r.to_bytes(sp.n, "little")
+        if sp.p == 2:
+            entry = reduce(xor, itertools.compress(self.packed, coeffs), 0) << self.shift
+        else:
+            entry = sum(map(mul, coeffs, self.packed)) << self.shift
         self[r] = entry
         return entry

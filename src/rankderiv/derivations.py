@@ -15,8 +15,11 @@ matrix of its domain.
 The exhaustive paths count their matrices with ``matrix.rank_total`` and
 refuse past their guard before enumerating anything; ``enumerate_rank_k``
 records each rank, so no matrix is ranked again.  Exhaustive verification
-holds one ``matrix.rank_domain`` of ranks 0..max(s, 1), which holds every
-factor and product, and evaluates delta at most once per matrix of it.
+holds one ``matrix.RankDomain``, of ranks 0..s for rank-s pairs and
+0..max(s, 1) for mixed ones, which holds every factor and product, and
+evaluates delta at most once per matrix of it.  It compares whole-matrix
+keys of delta(xy) and delta(x) y + x delta(y) and builds a ``Matrix`` only
+for the violations it reports.
 
 A ``CanonicalDerivation`` resolves its bracket once, when it is built
 (``matrix.bracket_map``, where the representation of A and x is chosen),
@@ -42,8 +45,8 @@ from .errors import (DomainError, PreconditionError, ExtractionError,
                      UsageError, guard)
 from .factor import cover_rank, factor_rank_s, rank_set, second_factor_rank_s
 from .fields import Field, FieldDerivation, RationalFunctionField
-from .matrix import (Matrix, bracket_map, enumerate_rank_k, product_sum,
-                     random_rank_k, rank_count_formula, rank_domain, rank_total)
+from .matrix import (Matrix, RankDomain, bracket_map, enumerate_rank_k, product_sum,
+                     random_rank_k, rank_count_formula, rank_total)
 
 __all__ = [
     "CanonicalDerivation",
@@ -472,27 +475,29 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
             total = 2 * rank_total(n, (0, 1), q) * rank_total(n, range(s + 1), q)
         guard(total, VERIFY_GUARD, "pairs", "exhaustive verification",
               "; use sampled verification instead")
-        # delta is read on the x side, the y side, then at each product's first pair
-        domain, index = rank_domain(n, range(max(s, 1) + 1), fld)
+        # products of rank-s pairs have rank <= s; mixed pairs also need rank 1
+        domain = RankDomain(n, range((s if pairs == "rank-s" else max(s, 1)) + 1), fld)
         if pairs == "rank-s":
             xs = ys = [i for i, m in enumerate(domain) if m.rank() == s]
         else:
             xs = [i for i, m in enumerate(domain) if m.rank() <= 1]
             ys = [i for i, m in enumerate(domain) if m.rank() <= s]
+        # delta is read on the x side, the y side, then at each product's first pair
         values = [None] * len(domain)
         for i in xs + ys:
             if values[i] is None:
                 values[i] = delta(domain[i])
+        holds = domain.product_rule(values)
         for i in xs:
             for j in ys:
                 for a, b in ((i, j), (j, i)) if pairs == "mixed" else ((i, j),):
-                    x, y = domain[a], domain[b]
-                    k = index[(x * y).rows]
+                    k = domain.product(a, b)
                     if values[k] is None:
                         values[k] = delta(domain[k])
-                    rhs = product_sum(values[a], y, x, values[b])
-                    if values[k] != rhs:
-                        violations.append((x, y, values[k], rhs))
+                    if not holds(a, b, k):
+                        x, y = domain[a], domain[b]
+                        violations.append((x, y, values[k],
+                                           product_sum(values[a], y, x, values[b])))
         checked = len(xs) * len(ys) * (1 if pairs == "rank-s" else 2)
         tag = "exhaustive" if pairs == "rank-s" else "exhaustive-mixed"
         return HypothesisReport(n, s, tag, checked, tuple(violations))

@@ -7,7 +7,8 @@ verification loops.
 This module alone chooses how a matrix is stored; ``_packed`` and
 ``_kronecker`` hold the two formats.  The other modules reach them only
 through ``Matrix``, ``product_sum``, ``bracket_map`` (the derivation
-bracket) and ``masked`` (the factor masks); ``factor.py``'s F_2 branch of
+bracket), ``masked`` (the factor masks) and ``RankDomain`` (the keys of
+the exhaustive pair loops); ``factor.py``'s F_2 branch of
 ``adapted_factor`` alone works on packed rows itself.
 
 Prime-field matrices are packed when their (p, n) allows it (``_packed``):
@@ -683,11 +684,101 @@ def enumerate_rank_k(n: int, k: int, field: Field):
     yield from rec(0, [], {(0,) * n}, 0)
 
 
-def rank_domain(n: int, ranks, field: Field):
-    """The n x n matrices of these ranks over a finite field, rank by rank
-    in ``enumerate_rank_k`` order, and ``{rows: place}``."""
-    domain = [m for k in ranks for m in enumerate_rank_k(n, k, field)]
-    return domain, {m.rows: i for i, m in enumerate(domain)}
+_FOREIGN = object()    # stands for a value that is no canonical matrix of the ring
+
+
+class RankDomain:
+    """The n x n matrices of these ranks over a finite field, rank by rank in
+    ``enumerate_rank_k`` order, as a sequence, with the place of each
+    product of two of them (``product``) and the product rule on them
+    (``product_rule``) read off whole-matrix keys.
+
+    In a packed space that interns its rows (p^n <= ``_packed.INTERN_ROWS``,
+    which holds wherever the exhaustive guards admit s >= 1 at n >= 2) the
+    key of a matrix is ``Space.key`` of its packed rows.  Each matrix M has
+    n row-product tables, row a of X M from X's row a, filled on first
+    lookup, so the key of X M is n lookups and one sum, reduced once over
+    an odd p: M4RI's "method of the Four Russians" for a fixed right factor
+    (Albrecht, Bard and Hart, ACM TOMS 2010), as ``bracket_map`` uses it.
+    No ``Matrix`` is built per pair.  Elsewhere the key of a matrix is its
+    rows and products are ``Matrix`` arithmetic.  The tables live as long
+    as the domain.
+    """
+
+    __slots__ = ("n", "field", "matrices", "index", "_space", "_rows", "_tables")
+
+    def __init__(self, n: int, ranks, field: Field):
+        self.n = n
+        self.field = field
+        self.matrices = [m for k in ranks for m in enumerate_rank_k(n, k, field)]
+        sp = _packed.space(field.p, n)
+        if sp is None or sp.intern is None:
+            self._space = None
+            self.index = {m.rows: i for i, m in enumerate(self.matrices)}
+            return
+        self._space = sp
+        self._rows = [m._packed_rows(sp) for m in self.matrices]
+        self._tables = [sp.row_products(r) for r in self._rows]
+        self.index = {sp.key(r): i for i, r in enumerate(self._rows)}
+
+    def __len__(self):
+        return len(self.matrices)
+
+    def __getitem__(self, i):
+        return self.matrices[i]
+
+    def product(self, i: int, j: int) -> int:
+        """The place of the product of the matrices at places i and j, which
+        must lie in the domain (KeyError otherwise)."""
+        sp = self._space
+        if sp is None:
+            return self.index[(self.matrices[i] * self.matrices[j]).rows]
+        return self.index[sp.product_key(self._rows[i], self._tables[j])]
+
+    def product_rule(self, values):
+        """``holds(a, b, k)``: whether values[k] = values[a] y + x values[b]
+        for x, y at places a, b and k the place of x y.  ``values`` is read
+        at a, b and k when ``holds`` is called, and each value is keyed once.
+
+        A values[k] that is no canonical matrix of the ring fails the rule.
+        A values[a] or values[b] that is none goes through ``product_sum``,
+        which refuses it as ``Matrix`` arithmetic does (UsageError).
+        """
+        m = self.matrices
+        sp = self._space
+        if sp is None:
+            return lambda a, b, k: values[k] == product_sum(values[a], m[b], m[a], values[b])
+        n, field = self.n, self.field
+        rows, tables = self._rows, self._tables
+        lhs = [None] * len(m)      # key of values[k]
+        left = [None] * len(m)     # packed rows of values[a]
+        right = [None] * len(m)    # row-product tables of values[b]
+
+        def packed(v):
+            if (not isinstance(v, Matrix) or v.n != n
+                    or (v.field is not field and v.field != field)):
+                return _FOREIGN
+            try:
+                return v._packed_rows(sp)
+            except UsageError:
+                return _FOREIGN
+
+        def holds(a, b, k):
+            dx = left[a]
+            if dx is None:
+                dx = left[a] = packed(values[a])
+            dy = right[b]
+            if dy is None:
+                dy = packed(values[b])
+                dy = right[b] = dy if dy is _FOREIGN else sp.row_products(dy)
+            if dx is _FOREIGN or dy is _FOREIGN:
+                return values[k] == product_sum(values[a], m[b], m[a], values[b])
+            key = lhs[k]
+            if key is None:
+                key = packed(values[k])
+                key = lhs[k] = key if key is _FOREIGN else sp.key(key)
+            return key == sp.rule_key(dx, tables[b], rows[a], dy)
+        return holds
 
 
 def enumerate_all(n: int, field: Field):

@@ -2,7 +2,7 @@
 linearized as a homogeneous sparse system over F_q.
 
 Unknowns are the entries of delta on the rank <= s domain
-(``matrix.rank_domain``, whose index gives the place of each product xy);
+(``matrix.RankDomain``, which gives the place of each product xy);
 each ordered pair (x, y) of rank-s matrices contributes the n^2 equations of
 delta(xy) - delta(x) y - x delta(y) = 0.  The exact nullspace of the system
 is the space of all maps satisfying the hypothesis, returned as table-backed
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from .derivations import DeltaDomain, DeltaMap
 from .errors import PreconditionError, UsageError, guard
-from .matrix import (Matrix, enumerate_rank_k, rank_count_formula, rank_domain,
+from .matrix import (Matrix, RankDomain, enumerate_rank_k, rank_count_formula,
                      rank_total)
 
 __all__ = [
@@ -64,7 +64,6 @@ class ConstraintSystem:
     s: int
     field: object
     domain: list
-    index: dict
     rows: list
 
     @property
@@ -85,7 +84,7 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
     q = field.order
     guard(rank_total(n, range(s + 1), q) * n * n, UNKNOWN_GUARD, "unknowns", "solver")
     guard(rank_count_formula(n, s, q) ** 2, BLOCK_GUARD, "equation blocks", "solver")
-    domain, index = rank_domain(n, range(s + 1), field)
+    domain = RankDomain(n, range(s + 1), field)
     nn = n * n
     rank_s = [i for i, m in enumerate(domain) if m.rank() == s]
     rows = []
@@ -93,7 +92,7 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
         x, ix = domain[i], i * nn
         for j in rank_s:
             y, iy = domain[j], j * nn
-            ixy = index[(x * y).rows] * nn
+            ixy = domain.product(i, j) * nn
             for a in range(n):
                 xa = x.rows[a]
                 for b in range(n):
@@ -108,7 +107,7 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
                             col = iy + c * n + b
                             coeffs[col] = (coeffs.get(col, 0) - xac) % q
                     rows.append({c: v for c, v in coeffs.items() if v})
-    return ConstraintSystem(n, s, field, domain, index, rows)
+    return ConstraintSystem(n, s, field, domain.matrices, rows)
 
 
 def _subtract(row, f, pivot, p):

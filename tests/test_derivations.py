@@ -31,6 +31,10 @@ from rankderiv import (
     reconstruct_full,
     verify_hypothesis,
 )
+from rankderiv import _packed
+from rankderiv.derivations import VERIFY_GUARD
+from rankderiv.matrix import rank_total
+from rankderiv.solver import BLOCK_GUARD, UNKNOWN_GUARD
 
 
 def _units(field, n):
@@ -505,6 +509,204 @@ def test_verify_exhaustive_reads_delta_once_per_matrix(spec, n, pairs, distinct,
     with pytest.raises(ValueError, match=rf"^refused \[{last}\]$"):
         verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, refuse_last), 1,
                           pairs=pairs)
+
+
+def _verify_orders(n, F, s):
+    """The pairs exhaustive verify checks, in its order, for each pair mode:
+    rank by rank in ``enumerate_rank_k`` order, x outer, and (y, x) after
+    (x, y) in mixed mode.  The modes share their matrix objects."""
+    ranked = [list(enumerate_rank_k(n, k, F)) for k in range(max(s, 1) + 1)]
+    xs = ranked[0] + ranked[1]
+    ys = [m for k in range(s + 1) for m in ranked[k]]
+    return {"rank-s": [(x, y) for x in ranked[s] for y in ranked[s]],
+            "mixed": [pair for x in xs for y in ys for pair in ((x, y), (y, x))]}
+
+
+def _reference_failures(honest, overrides, order):
+    """The product rule written out with ``Matrix`` ``*``, ``+`` and ``==``
+    on the pairs of ``order``, each pair of objects once, for ``honest`` and
+    for ``honest`` overridden at ``overrides`` (pairs of matrices): for each
+    map the pairs that fail, as {(id(x), id(y)): (x, y, lhs, rhs)}.  The two
+    maps agree off the overrides, so the corrupted map's right side is
+    formed again only where a factor is overridden."""
+    values = {}
+    changed = {m.rows: v for m, v in overrides}
+
+    def value(m):
+        if m.rows not in values:
+            values[m.rows] = honest(m)
+        return values[m.rows]
+
+    def changed_value(m):
+        return changed.get(m.rows) or value(m)
+
+    good, bad = {}, {}
+    for x, y in {(id(x), id(y)): (x, y) for x, y in order}.values():
+        xy = x * y
+        lhs, rhs = value(xy), value(x) * y + x * value(y)
+        if not lhs == rhs:
+            good[id(x), id(y)] = (x, y, lhs, rhs)
+        if x.rows in changed or y.rows in changed:
+            rhs = changed_value(x) * y + x * changed_value(y)
+        lhs = changed_value(xy)
+        if not lhs == rhs:
+            bad[id(x), id(y)] = (x, y, lhs, rhs)
+    return good, bad
+
+
+def _reference_report(failures, order):
+    return len(order), [failures[id(x), id(y)] for x, y in order
+                        if (id(x), id(y)) in failures]
+
+
+def _assert_verify_matches_reference(honest, overrides, s):
+    """Exhaustive verify in both pair modes of ``honest``, which must pass,
+    and of ``honest`` with ``overrides``, which must fail, against the
+    reference loop."""
+    n, F = honest.n, honest.field
+    corrupted = honest
+    for m, v in overrides:
+        corrupted = corrupted.override(m, v)
+    orders = _verify_orders(n, F, s)
+    good, bad = _reference_failures(honest, overrides,
+                                     orders["rank-s"] + orders["mixed"])
+    for pairs, order in orders.items():
+        reports = []
+        for delta, failures in ((honest, good), (corrupted, bad)):
+            checked, violations = _reference_report(failures, order)
+            got = verify_hypothesis(delta, s, pairs=pairs)
+            assert got.checked == checked
+            assert len(got.violations) == len(violations)
+            for v, w in zip(got.violations, violations):
+                assert v == w
+            reports.append(got)
+        assert reports[0].passed and not reports[1].passed
+
+
+def _overrides(F, n):
+    """Junk values at the zero matrix, at the rank-1 unit e_0,n-1 and at a
+    product place, the product of the last two rank-1 matrices."""
+    ones = list(enumerate_rank_k(n, 1, F))
+    junk = Matrix.identity(F, n)
+    return [(Matrix.zero(F, n), junk), (Matrix.unit(F, n, 0, n - 1), junk + junk),
+            (ones[-2] * ones[-1], Matrix.unit(F, n, n - 1, 0))]
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 2), ("F2", 3), ("F2", 4), ("F3", 2), ("F3", 3),
+                                     ("F5", 2), ("F7", 2)])
+def test_verify_exhaustive_matches_matrix_arithmetic(spec, n):
+    """Exhaustive verify, which compares packed keys, against the same loop
+    on ``Matrix`` arithmetic: an honest map and one corrupted at the zero
+    matrix, at a rank-1 matrix and at a product place give the same pairs
+    and the same violations, in order, in both pair modes."""
+    F = parse_field(spec)
+    honest = make_delta(CanonicalDerivation.random(F, n, seed=51))
+    _assert_verify_matches_reference(honest, _overrides(F, n), 1)
+
+
+@pytest.mark.parametrize("spec, n, s", [("F13", 1, 1), ("F11", 2, 0)])
+def test_verify_exhaustive_without_interned_rows(spec, n, s):
+    """F_13 at n = 1 and F_11 at n = 2 have no packed space, so verify
+    keys on rows and multiplies ``Matrix`` objects; it matches the
+    reference loop all the same."""
+    F = parse_field(spec)
+    honest = make_delta(CanonicalDerivation.random(F, n, seed=52))
+    _assert_verify_matches_reference(honest, _overrides(F, n), s)
+
+
+def test_exhaustive_guards_admit_only_interned_rows():
+    """Wherever n >= 2 and s >= 1, every case the exhaustive verify guard
+    or the solver guards admit lies in a packed space that interns its
+    rows, so the ``Matrix`` fallback of ``RankDomain`` serves only s = 0
+    and n = 1 (at p >= 13, where nothing packs).  Counts rise with n and q,
+    and nothing is admitted at n = 6 even over F_2."""
+    def admitted(n, s, q):
+        rank_s = rank_count_formula(n, s, q)
+        mixed = 2 * rank_total(n, (0, 1), q) * rank_total(n, range(s + 1), q)
+        solver = (2 * s <= n and rank_total(n, range(s + 1), q) * n * n <= UNKNOWN_GUARD
+                  and rank_s ** 2 <= BLOCK_GUARD)
+        return rank_s ** 2 <= VERIFY_GUARD or mixed <= VERIFY_GUARD or solver
+
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    seen = set()
+    for p in primes:
+        for n in range(2, 7):
+            for s in range(1, n + 1):
+                if admitted(n, s, p):
+                    seen.add((p, n))
+                    assert _packed.fits(p, n) and p ** n <= _packed.INTERN_ROWS, (p, n, s)
+    assert not any(n == 6 for _, n in seen)
+    assert not _packed.fits(13, 1) and _packed.fits(11, 1)
+
+
+def test_verify_rank_zero_enumerates_rank_zero_only(F2, monkeypatch):
+    """verify with s = 0 checks the one pair (0, 0) and needs no rank-1
+    matrix: at F_2, n = 12 there are 16,769,025 of them."""
+    import rankderiv.matrix
+
+    calls = []
+    enumerate_ranks = rankderiv.matrix.enumerate_rank_k
+
+    def recorded(n, k, field):
+        calls.append(k)
+        if k:
+            raise AssertionError(f"enumerated rank {k}")
+        return enumerate_ranks(n, k, field)
+
+    monkeypatch.setattr(rankderiv.matrix, "enumerate_rank_k", recorded)
+    zero = Matrix.zero(F2, 12)
+    delta = DeltaMap.from_function(12, F2, DeltaDomain.full(), lambda m: zero)
+    report = verify_hypothesis(delta, 0)
+    assert report.passed and report.checked == 1
+    assert calls == [0]
+
+
+# values that are no canonical matrix of F_2 at n = 2
+FOREIGN_VALUES = {
+    "other-field": lambda: Matrix.zero(parse_field("F3"), 2),
+    "other-n": lambda: Matrix.zero(parse_field("F2"), 3),
+    "entry-above-p": lambda: Matrix(parse_field("F2"), [[2, 0], [0, 0]], canonicalize=False),
+}
+
+
+@pytest.mark.parametrize("pairs", ["rank-s", "mixed"])
+@pytest.mark.parametrize("name", sorted(FOREIGN_VALUES))
+def test_verify_foreign_product_value_is_a_violation(F2, name, pairs):
+    """Such a value at delta(0) fails every pair whose product is 0 and
+    raises nothing, as long as no pair reads it as a factor."""
+    bad = FOREIGN_VALUES[name]()
+    zero = Matrix.zero(F2, 2)
+    honest = make_delta(CanonicalDerivation(Matrix.unit(F2, 2, 0, 1)))
+    delta = honest.override(zero, bad)
+    if pairs == "rank-s":
+        # rank-1 pairs whose product is 0 read delta(0) only as a product
+        got = verify_hypothesis(delta, 1)
+        order = _verify_orders(2, F2, 1)[pairs]
+        _, failures = _reference_failures(honest, [(zero, bad)], order)
+        checked, violations = _reference_report(failures, order)
+        assert got.checked == checked and list(got.violations) == violations
+        assert len(violations) == 27 and all(v[2] is bad for v in violations)
+    else:
+        # in mixed mode delta(0) is an operand as well, and is refused there
+        with pytest.raises(UsageError):
+            verify_hypothesis(delta, 1, pairs=pairs)
+
+
+# delta(e_01) as an operand: refused with the UsageError of Matrix arithmetic
+FOREIGN_OPERANDS = [
+    ("other-field", "field mismatch: F2 vs F3"),
+    ("other-n", "dimension mismatch: 2 vs 3"),
+    ("entry-above-p", "matrix entries are not canonical residues mod 2"),
+]
+
+
+@pytest.mark.parametrize("pairs", ["rank-s", "mixed"])
+@pytest.mark.parametrize("name, message", FOREIGN_OPERANDS)
+def test_verify_foreign_operand_value_is_refused(F2, name, message, pairs):
+    delta = make_delta(CanonicalDerivation(Matrix.unit(F2, 2, 0, 1))).override(
+        Matrix.unit(F2, 2, 0, 1), FOREIGN_VALUES[name]())
+    with pytest.raises(UsageError, match=f"^{message}$"):
+        verify_hypothesis(delta, 1, pairs=pairs)
 
 
 def test_check_linear_combination(F3):

@@ -60,9 +60,22 @@ MUTANTS = [
     ("derivations.py", "            return list(range(min(self.s, n) + 1))",
      "            return list(range(self.s + 1))",
      "tests/test_derivations.py::test_delta_table_text_with_s_above_n"),
-    ("derivations.py", "                    k = index[(x * y).rows]",
-     "                    k = index[(y * x).rows]",
+    ("matrix.py",
+     "        return self.index[sp.product_key(self._rows[i], self._tables[j])]",
+     "        return self.index[sp.product_key(self._rows[j], self._tables[i])]",
      "tests/test_derivations.py::test_verify_inner_derivation_pass"),
+    ("_packed.py",
+     '        return (ab + cd).to_bytes(self.n * self.n, "little").translate(self.mod)',
+     '        return (ab + cd).to_bytes(self.n * self.n, "little")',
+     "tests/test_derivations.py::test_verify_exhaustive_matches_matrix_arithmetic[F3-2]"),
+    ("_packed.py",
+     "        return tuple([RowProducts(self, packed, 8 * n * a) for a in range(n)])",
+     "        return tuple([RowProducts(self, packed, 8 * a) for a in range(n)])",
+     " ".join(f"tests/test_derivations.py::test_verify_exhaustive_matches_matrix_arithmetic[{c}]"
+              for c in ("F2-3", "F3-2"))),
+    ("_packed.py", "        cd = sum(map(dict.__getitem__, d_tables, c_rows))", "        cd = 0",
+     " ".join(f"tests/test_derivations.py::test_verify_exhaustive_matches_matrix_arithmetic[{c}]"
+              for c in ("F2-3", "F3-2"))),
     ("factor.py", "    selected = [0]", "    selected = []",
      "tests/test_factor.py::test_select_independent_bits_matches_field_rows"),
     ("matrix.py", "            elif _kronecker.ranks(self.field) and _kronecker.rep(self):",
