@@ -23,6 +23,7 @@ on all n entries, as long as no byte (a "slot") overflows into the next.
 
 Arithmetic returns ``(rows, packed)``: the decoded rows as tuples of ints,
 and the packed rows, or None where they are left to be packed on demand.
+The bracket with a fixed A alone returns a whole-matrix key (below).
 Decoded rows are interned per (p, n) when there are at most
 ``INTERN_ROWS`` distinct rows, so equal rows share one tuple and the
 interned table also packs rows by lookup.  Rank normal forms are packed
@@ -38,7 +39,10 @@ n k .. n k + n - 1.  Over F_2 the sum is an XOR.  Over an odd p an entry
 is left unreduced, A E_i(r) + E_i(r) (-A) with -A's slots in [1, p], so
 the n entries of a bracket sum to A x + x (-A) slot by slot: at most
 n (p-1) (p-1) + n (p-1) p, the bound of ``mul2`` that ``fits`` imposes,
-and the sum is reduced and decoded once.  The tables are filled on first
+and the sum is reduced once.  The sum is the key of [A, x] (``key``'s
+layout, below) and ``bracket`` returns it as it stands: the result
+(``matrix._KeyMatrix``) compares keys, and ``unkey`` decodes its rows or
+its packed rows only when they are read.  The tables are filled on first
 lookup and are owned by the map that made them (``matrix.bracket_map``,
 held by a ``derivations.CanonicalDerivation``); at most n p^n entries,
 49,152 at F_2, n = 12, the most of any space.  A's rows are checked and
@@ -215,20 +219,15 @@ class Space:
                       for i in range(n)])
 
     def bracket(self, tables, x_rows):
-        """``(rows, packed)`` of [A, x] = sum_i T_i[x_i] for the row tables
+        """The key (``key``) of [A, x] = sum_i T_i[x_i] for the row tables
         ``tables`` of A.  Over F_2 the sum is an XOR.  Over an odd p it is
         A x + x (-A) unreduced, within the bound of ``mul2`` that ``fits``
         imposes, and is reduced once."""
-        n = self.n
         if self.p == 2:
-            total = reduce(xor, map(dict.__getitem__, tables, x_rows))
-            mask = (1 << 8 * n) - 1
-            packed = tuple([total >> shift & mask for shift in range(0, 8 * n * n, 8 * n)])
-            return self._bits(packed), packed
-        raw = sum(map(dict.__getitem__, tables, x_rows)).to_bytes(
+            return reduce(xor, map(dict.__getitem__, tables, x_rows))
+        n = self.n
+        return sum(map(dict.__getitem__, tables, x_rows)).to_bytes(
             n * n, "little").translate(self.mod)
-        intern = self.intern
-        return tuple([intern[raw[k:k + n]] for k in range(0, n * n, n)]), None
 
     # -- whole-matrix keys and row products -----------------------------------
 
@@ -240,6 +239,20 @@ class Space:
         if self.p == 2:
             return sum([r << 8 * n * a for a, r in enumerate(packed)])
         return b"".join([r.to_bytes(n, "little") for r in packed])
+
+    def unkey(self, key, packed=False):
+        """The rows of the matrix whose key (``key``) is ``key``, or with
+        ``packed`` its packed rows.  Only a space that interns its rows
+        makes keys to decode (``bracket``), so the rows are interned."""
+        n = self.n
+        if self.p == 2:
+            mask = (1 << 8 * n) - 1
+            rows = [key >> shift & mask for shift in range(0, 8 * n * n, 8 * n)]
+            return tuple(rows) if packed else tuple(map(self.intern.__getitem__, rows))
+        raw = [key[k:k + n] for k in range(0, n * n, n)]
+        if packed:
+            return tuple([int.from_bytes(r, "little") for r in raw])
+        return tuple(map(self.intern.__getitem__, raw))
 
     def row_products(self, packed):
         """The row-product tables of the matrix M with canonical packed rows

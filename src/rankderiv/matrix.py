@@ -19,12 +19,15 @@ form's P and Q come with their packed rows, and ``masked`` makes the
 factors from them with a byte mask or zeroed rows, so they are never
 packed again.  Over an odd p byte-wise sums are reduced mod p once per
 result row.  ``product_sum`` forms a b + c d, the right side of the
-product rule, in one such pass.  Packing needs every unreduced byte sum to
-stay below 256.  The largest one is that of a b + c d, n (p-1) (2p-1), so
-F_2 packs at every n, F_3 up to n = 25, F_5 up to n = 7 and F_7 up to
-n = 3.  Other prime-field matrices, and the odd-p rank normal form and
-every nullspace, use the generic elimination below with ``PrimeField``
-operations.
+product rule, in one such pass.  These results hold their rows; the
+bracket by row tables (``bracket_map``) instead returns a ``_KeyMatrix``,
+which holds only the whole-matrix key of ``_packed``: two of them compare
+keys, and the rows and packed rows are decoded from the key when first
+read.  Packing needs every unreduced byte sum to stay below 256.  The
+largest one is that of a b + c d, n (p-1) (2p-1), so F_2 packs at every
+n, F_3 up to n = 25, F_5 up to n = 7 and F_7 up to n = 3.  Other
+prime-field matrices, and the odd-p rank normal form and every nullspace,
+use the generic elimination below with ``PrimeField`` operations.
 
 Over Q, Q(t) and F_p(t) a matrix with polynomial entries has an integer
 form P / D (``_kronecker``), cached in ``_fastrep``.  Products over these
@@ -116,11 +119,28 @@ class Matrix:
         """Internal constructor from an integer form (``_kronecker``): a
         ``_FormMatrix``, whose rows are decoded when first read."""
         self = object.__new__(_FormMatrix)
+        _ROWS.__set__(self, None)
         self.field = field
         self.n = len(form[0])
         self._rank = None
         self._rnf = None
         self._fastrep = form
+        return self
+
+    @classmethod
+    def _from_key(cls, field: Field, sp, key) -> "Matrix":
+        """Internal constructor from the whole-matrix key (``_packed.Space.key``)
+        in the packed space ``sp``, which interns its rows: a ``_KeyMatrix``,
+        whose rows and packed rows are decoded when first read."""
+        self = object.__new__(_KeyMatrix)
+        _ROWS.__set__(self, None)
+        self.field = field
+        self.n = sp.n
+        self._sp = sp
+        self._key = key
+        self._rank = None
+        self._rnf = None
+        self._fastrep = None
         return self
 
     @classmethod
@@ -322,32 +342,62 @@ class Matrix:
         return cls._raw(field, rows)
 
 
-_ROWS = Matrix.rows    # the slot that a _FormMatrix fills on first read
+_ROWS = Matrix.rows    # the slot that a _FormMatrix fills on first read, None until then
 
 
 class _FormMatrix(Matrix):
     """A matrix held as its integer form P / D (``_kronecker``) in
-    ``_fastrep``; its canonical rows are decoded when first read.  Two such
-    matrices compare their forms, which are unique; ``hash`` decodes the
-    rows, as the matrix built from them hashes them.  The lazy rows live
-    here, not in a ``__getattr__`` on ``Matrix``, which would slow every
-    attribute read of every matrix."""
+    ``_fastrep``; its canonical rows are decoded (``_decode``) when first
+    read.  Two such matrices compare their forms, which are unique; ``hash``
+    decodes the rows, as the matrix built from them hashes them.  The lazy
+    rows live here, not in a ``__getattr__`` on ``Matrix``, which would slow
+    every attribute read of every matrix; ``_KeyMatrix`` shares them."""
 
     __slots__ = ()
 
     @property
     def rows(self):
-        try:
-            return _ROWS.__get__(self)
-        except AttributeError:
-            rows = _kronecker.decode(self.field, self._fastrep)
+        rows = _ROWS.__get__(self)
+        if rows is None:
+            rows = self._decode()
             _ROWS.__set__(self, rows)
-            return rows
+        return rows
+
+    def _decode(self):
+        return _kronecker.decode(self.field, self._fastrep)
 
     def __eq__(self, other):
         if other.__class__ is _FormMatrix:
             r, s = self._fastrep, other._fastrep
             return (r[1] == s[1] and r[0] == s[0]
+                    and (other.field is self.field or other.field == self.field))
+        return Matrix.__eq__(self, other)
+
+    __hash__ = Matrix.__hash__    # defining __eq__ would clear it
+
+
+class _KeyMatrix(_FormMatrix):
+    """A prime-field matrix held as its whole-matrix key (``_packed.Space.key``)
+    in ``_key`` and its packed space in ``_sp``, with ``_FormMatrix``'s lazy
+    rows: its rows, and its packed rows in ``_fastrep``, are decoded from the
+    key when first read.  Two such matrices compare their keys, which are
+    unique within one ring; the ring is compared too, since the F_2 zero
+    matrices of every n have key 0."""
+
+    __slots__ = ("_sp", "_key")
+
+    def _decode(self):
+        return self._sp.unkey(self._key)
+
+    def _packed_rows(self, sp) -> tuple:
+        rep = self._fastrep
+        if rep is None:
+            rep = self._fastrep = self._sp.unkey(self._key, packed=True)
+        return rep
+
+    def __eq__(self, other):
+        if other.__class__ is _KeyMatrix:
+            return (self._key == other._key and other.n == self.n
                     and (other.field is self.field or other.field == self.field))
         return Matrix.__eq__(self, other)
 
@@ -410,7 +460,9 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
       its row, so a map applied to m matrices holds at most n m entries,
       never more than n p^n (49,152 at F_2, n = 12), and they die with it.
       An entry costs about one row of ``product_sum``'s pass, so the tables
-      pay off as rows recur among the matrices one map brackets.
+      pay off as rows recur among the matrices one map brackets.  The sum
+      is the whole-matrix key of [A, x], and the result holds only that
+      (``_KeyMatrix``).
     * Over Q, Q(t) and F_p(t), when every entry of A and x is a
       polynomial, [A, x] is computed on integers at t = 2^B
       (``_kronecker``) and held as its integer form.  When mu is c d/dt
@@ -453,7 +505,12 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
     tables = None if sp is None else sp.bracket_rows(a.rows)
     if tables is None:
         return lambda x: plus_mu(generic(x), x)
-    return lambda x: plus_mu(Matrix._from_packed(f, sp.bracket(tables, x.rows)), x)
+
+    def keyed(x):
+        return Matrix._from_key(f, sp, sp.bracket(tables, x.rows))
+    if not mu.is_zero():
+        return lambda x: plus_mu(keyed(x), x)
+    return keyed
 
 
 def masked(m: Matrix, rows=None, cols=None) -> Matrix:
@@ -742,7 +799,9 @@ class RankDomain:
 
         A values[k] that is no canonical matrix of the ring fails the rule.
         A values[a] or values[b] that is none goes through ``product_sum``,
-        which refuses it as ``Matrix`` arithmetic does (UsageError).
+        which refuses it as ``Matrix`` arithmetic does (UsageError).  A value
+        held as its key (``bracket_map``) is keyed by that key as it stands,
+        and its packed rows are read off it.
         """
         m = self.matrices
         sp = self._space
@@ -754,14 +813,23 @@ class RankDomain:
         left = [None] * len(m)     # packed rows of values[a]
         right = [None] * len(m)    # row-product tables of values[b]
 
+        def ring(v):
+            return (isinstance(v, Matrix) and v.n == n
+                    and (v.field is field or v.field == field))
+
         def packed(v):
-            if (not isinstance(v, Matrix) or v.n != n
-                    or (v.field is not field and v.field != field)):
+            if not ring(v):
                 return _FOREIGN
             try:
                 return v._packed_rows(sp)
             except UsageError:
                 return _FOREIGN
+
+        def key(v):
+            if v.__class__ is _KeyMatrix and ring(v):
+                return v._key
+            rows = packed(v)
+            return rows if rows is _FOREIGN else sp.key(rows)
 
         def holds(a, b, k):
             dx = left[a]
@@ -773,11 +841,10 @@ class RankDomain:
                 dy = right[b] = dy if dy is _FOREIGN else sp.row_products(dy)
             if dx is _FOREIGN or dy is _FOREIGN:
                 return values[k] == product_sum(values[a], m[b], m[a], values[b])
-            key = lhs[k]
-            if key is None:
-                key = packed(values[k])
-                key = lhs[k] = key if key is _FOREIGN else sp.key(key)
-            return key == sp.rule_key(dx, tables[b], rows[a], dy)
+            got = lhs[k]
+            if got is None:
+                got = lhs[k] = key(values[k])
+            return got == sp.rule_key(dx, tables[b], rows[a], dy)
         return holds
 
 

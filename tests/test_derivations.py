@@ -592,15 +592,34 @@ def _overrides(F, n):
             (ones[-2] * ones[-1], Matrix.unit(F, n, n - 1, 0))]
 
 
-@pytest.mark.parametrize("spec, n", [("F2", 2), ("F2", 3), ("F2", 4), ("F3", 2), ("F3", 3),
-                                     ("F5", 2), ("F7", 2)])
-def test_verify_exhaustive_matches_matrix_arithmetic(spec, n):
+_VERIFY_CASES = [("F2", 2, "make_delta"), ("F2", 3, "make_delta"), ("F2", 4, "make_delta"),
+                 ("F3", 2, "make_delta"), ("F3", 3, "make_delta"), ("F5", 2, "make_delta"),
+                 ("F7", 2, "make_delta"), ("F2", 3, "derivation_delta"),
+                 ("F5", 2, "derivation_delta"), ("F2", 3, "table"), ("F3", 2, "table"),
+                 ("F5", 2, "table")]
+
+
+@pytest.mark.parametrize("spec, n, backing", _VERIFY_CASES,
+                         ids=[f"{c[0]}-{c[1]}" + ("" if c[2] == "make_delta" else f"-{c[2]}")
+                              for c in _VERIFY_CASES])
+def test_verify_exhaustive_matches_matrix_arithmetic(spec, n, backing):
     """Exhaustive verify, which compares packed keys, against the same loop
     on ``Matrix`` arithmetic: an honest map and one corrupted at the zero
     matrix, at a rank-1 matrix and at a product place give the same pairs
-    and the same violations, in order, in both pair modes."""
+    and the same violations, in order, in both pair modes.  The honest map
+    is function-backed (``make_delta``, ``derivation_delta``), so its values
+    are brackets held as their keys, or a table of the same values held as
+    rows, keyed from their packed rows."""
     F = parse_field(spec)
-    honest = make_delta(CanonicalDerivation.random(F, n, seed=51))
+    D = CanonicalDerivation.random(F, n, seed=51)
+    if backing == "make_delta":
+        honest = make_delta(D)
+    elif backing == "derivation_delta":
+        honest = derivation_delta(D)
+    else:
+        honest = DeltaMap.from_table(
+            n, F, DeltaDomain.rank_leq(1),
+            {m: Matrix._raw(F, D(m).rows) for k in (0, 1) for m in enumerate_rank_k(n, k, F)})
     _assert_verify_matches_reference(honest, _overrides(F, n), 1)
 
 

@@ -7,7 +7,9 @@ the F_2 nullspace) must give exactly what ``_kernels_py`` gives, including
 the RNF transforms P and Q and their packed rows.  So must the generic
 elimination that serves the rest: the odd-p rank normal form, every
 nullspace and rref, square or rectangular, and every operation at a (p, n)
-past the slot bound, which must not pack at all.
+past the slot bound, which must not pack at all.  The bracket's results
+within the intern bound, which hold only their whole-matrix key, must
+compare, hash, rank and serve as operands as matrices of the same rows do.
 """
 
 import itertools
@@ -16,8 +18,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ref_rank_mod
 from rankderiv import (
     CanonicalDerivation,
+    DeltaDomain,
+    DeltaMap,
     Matrix,
     UsageError,
     apply_derivation,
@@ -25,7 +30,7 @@ from rankderiv import (
 )
 from rankderiv import _kernels_py as lists
 from rankderiv import _packed
-from rankderiv.matrix import product_sum
+from rankderiv.matrix import _KeyMatrix, masked, product_sum
 
 
 def _rows(m):
@@ -334,8 +339,14 @@ def test_fixed_a_bracket_tables(p, n, monkeypatch):
         assert got.rows == (a * x - x * a).rows
         assert got.rows == _rows(lists.mat_sub(lists.mat_mul(a.rows, rows, p),
                                                lists.mat_mul(rows, a.rows, p), p))
-        if p == 2:
-            assert got._fastrep == _packed.space(p, n).pack(got.rows)
+        # the key, the packed rows and the rows of the result agree; within
+        # the intern bound the result holds only the key, and its rows and
+        # packed rows are decoded from it independently
+        sp = _packed.space(p, n)
+        assert (got.__class__ is _KeyMatrix) == tables
+        want = sp.pack(got.rows)
+        assert got._packed_rows(sp) == want
+        assert getattr(got, "_key", sp.key(want)) == sp.key(want)
     bad = Matrix(field, [[p] + [0] * (n - 1)] + [[0] * n] * (n - 1), canonicalize=False)
     with pytest.raises(UsageError, match="not canonical"):
         apply_derivation(D, bad)
@@ -361,7 +372,76 @@ def test_fixed_a_bracket_at_slot_bound(p, n):
     for a in (peak, *mats):
         rows = sp.bracket_rows(a)
         for x in mats:
-            got, packed = sp.bracket(rows, x)
-            assert packed is None
+            got = sp.unkey(sp.bracket(rows, x))
             assert got == _rows(lists.mat_sub(lists.mat_mul(a, x, p),
                                               lists.mat_mul(x, a, p), p))
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 4), (2, 12), (3, 4), (3, 7), (5, 5)])
+def test_key_held_brackets_match_rows_held(p, n):
+    # within the intern bound a bracket holds only its key.  Against the
+    # list reference and against rows-held matrices of the same rows it must
+    # compare, hash, look up, rank and serve as an operand alike; each use
+    # takes a fresh bracket, so that nothing decoded earlier is reused
+    field = parse_field(f"F{p}")
+    D = CanonicalDerivation.random(field, n, seed=7)
+    a = D.A.rows
+    xs = _seeded(n, p, 6, "key-held")
+    refs = [_rows(lists.mat_sub(lists.mat_mul(a, x, p), lists.mat_mul(x, a, p), p))
+            for x in xs]
+    keyed = [apply_derivation(D, Matrix._raw(field, x)) for x in xs]
+    table = DeltaMap.from_table(n, field, DeltaDomain.full(),
+                                {Matrix._raw(field, r): Matrix._raw(field, x)
+                                 for r, x in zip(refs, xs)})
+
+    def fresh(i):
+        return apply_derivation(D, Matrix._raw(field, xs[i]))
+
+    def held(rows):
+        return Matrix._raw(field, rows)
+
+    ops = [lambda u, y: u * y, lambda u, y: y * u, lambda u, y: u + y,
+           lambda u, y: u - y, lambda u, y: y - u,
+           lambda u, y: product_sum(u, y, y, u), lambda u, y: product_sum(y, u, u, y),
+           lambda u, y: masked(u, rows=range(1, n)),
+           lambda u, y: masked(u, cols=range(0, n, 2)),
+           lambda u, y: masked(u, rows=range(n - 1), cols=range(1, n))]
+    for i, (want, k) in enumerate(zip(refs, keyed)):
+        assert k.__class__ is _KeyMatrix
+        assert k.rows == want
+        for u, v in ((fresh(i), held(want)), (held(want), fresh(i)), (fresh(i), fresh(i))):
+            assert u == v and v == u and not u != v and not v != u
+            assert hash(u) == hash(v)
+        for j, other in enumerate(refs):
+            if other != want:
+                for u, v in ((fresh(i), held(other)), (held(other), fresh(i)),
+                             (fresh(i), keyed[j])):
+                    assert u != v and v != u and not u == v and not v == u
+        assert {want: i}[fresh(i).rows] == i
+        assert {fresh(i).rows: i}[want] == i
+        assert {fresh(i): i}[held(want)] == i
+        assert table(fresh(i)) == table(held(want))
+        assert fresh(i).rank() == ref_rank_mod(want, p)
+        y = held(xs[(i + 1) % len(xs)])
+        assert (fresh(i) * y).rows == _rows(lists.mat_mul(want, y.rows, p))
+        assert (fresh(i) + y).rows == _rows(lists.mat_add(want, y.rows, p))
+        for op in ops:
+            assert op(fresh(i), y).rows == op(held(want), y).rows
+        got, ref = fresh(i).rank_normal_form(), held(want).rank_normal_form()
+        assert (got.P.rows, got.k, got.Q.rows) == (ref.P.rows, ref.k, ref.Q.rows)
+
+
+def test_key_held_brackets_of_other_rings_differ():
+    # the F_2 zero matrices of every n have key 0, and the zero matrices of
+    # F_3 and F_5 at one n the same bytes, so the ring is compared as well
+    zeros = []
+    for p, n in ((2, 2), (2, 4), (2, 12), (3, 4), (5, 4), (3, 7)):
+        field = parse_field(f"F{p}")
+        z = apply_derivation(CanonicalDerivation.random(field, n, seed=3),
+                             Matrix.zero(field, n))
+        assert z.__class__ is _KeyMatrix
+        zeros.append((z, Matrix.zero(field, n)))
+    for i, (z, _) in enumerate(zeros):
+        for j, (w, r) in enumerate(zeros):
+            for u, v in ((z, w), (w, z), (z, r), (r, z)):
+                assert (u == v) == (i == j) and (u != v) == (i != j)
