@@ -13,9 +13,9 @@ on all n entries, as long as no byte (a "slot") overflows into the next.
   (the delayed reduction of FFLAS-FFPACK).  The largest unreduced slot sum
   is the one of ``mul2``'s a b + c d, with b canonical and the slots of d
   at most p: n (p-1) (p-1) + n (p-1) p = n (p-1) (2p-1).  The product
-  rule's delta(x) y + x delta(y) is such a sum, and so is the bracket by
-  row tables below, whose -A has slots in [1, p] (``neg``); past the
-  intern bound the bracket is ``matrix.product_sum(A, x, x, -A)`` with -A
+  rule's delta(x) y + x delta(y) is such a sum, and so is the bracket,
+  by the tables below, whose -A has slots in [1, p] (``neg``), or, past
+  the intern bound, as ``matrix.product_sum(A, x, x, -A)`` with -A
   canonical.  So a (p, n) packs only when that bound is at most 255:
   F_3 up to n = 25, F_5 up to n = 7, F_7 up to n = 3, F_11 at n = 1.
   Every other (p, n) has no packed space, and its matrices use the generic
@@ -23,39 +23,38 @@ on all n entries, as long as no byte (a "slot") overflows into the next.
 
 Arithmetic returns ``(rows, packed)``: the decoded rows as tuples of ints,
 and the packed rows, or None where they are left to be packed on demand.
-The bracket with a fixed A alone returns a whole-matrix key (below).
-Decoded rows are interned per (p, n) when there are at most
-``INTERN_ROWS`` distinct rows, so equal rows share one tuple and the
-interned table also packs rows by lookup.  Rank normal forms are packed
-over F_2 only; they return P and Q with their packed rows, and the factors
-built from them (``matrix.masked``) zero columns with a byte mask and rows
-with a 0, in every packed space, so no factor is packed twice.
+The table sums alone return whole-matrix keys (below).  Decoded rows are
+interned per (p, n) when there are at most ``INTERN_ROWS`` distinct rows,
+so equal rows share one tuple and the interned table also packs rows by
+lookup.  Rank normal forms are packed over F_2 only; they return P and Q
+with their packed rows, and the factors built from them
+(``matrix.masked``) zero columns with a byte mask and rows with a 0, in
+every packed space, so no factor is packed twice.
 
-A space that interns its rows also brackets with a fixed A by table
-lookup (``bracket_rows``, ``bracket``): [A, x] = sum_i T_i[x_i], where
-T_i[r] = [A, E_i(r)] and E_i(r) is the matrix whose row i is r and whose
-other rows are zero.  Each entry is one int of n^2 slots, row k in slots
-n k .. n k + n - 1.  Over F_2 the sum is an XOR.  Over an odd p an entry
-is left unreduced, A E_i(r) + E_i(r) (-A) with -A's slots in [1, p], so
-the n entries of a bracket sum to A x + x (-A) slot by slot: at most
-n (p-1) (p-1) + n (p-1) p, the bound of ``mul2`` that ``fits`` imposes,
-and the sum is reduced once.  The sum is the key of [A, x] (``key``'s
-layout, below) and ``bracket`` returns it as it stands: the result
-(``matrix._KeyMatrix``) compares keys, and ``unkey`` decodes its rows or
-its packed rows only when they are read.  The tables are filled on first
-lookup and are owned by the map that made them (``matrix.bracket_map``,
-held by a ``derivations.CanonicalDerivation``); at most n p^n entries,
-49,152 at F_2, n = 12, the most of any space.  A's rows are checked and
-packed once, when its tables are made, and an entry is built from them
-with a few integer operations (``BracketRows``), about one row of ``mul2``.
-
-The exhaustive pair loops (``matrix.RankDomain``) key a whole matrix the
-same way, row a in slots n a .. n a + n - 1 (``key``): one int over F_2,
-the n^2 canonical bytes over an odd p.  A fixed right factor M has n
-row-product tables, table a mapping a packed row r to r M shifted to row a
-(``RowProducts``), so the key of X M is n lookups and one sum, and the key
-of A B + C D is two such sums, XOR-ed over F_2 and otherwise added, at
-most 2 n (p-1)^2 per slot, within ``mul2``'s bound, and reduced once.
+A space that interns its rows also multiplies by a fixed factor by table
+lookup, the "method of the Four Russians" of M4RI.  The key of a matrix
+holds row a in slots n a .. n a + n - 1 of one int (``key``): over F_2
+that int, over an odd p its n^2 canonical bytes.  A fixed M has n tables
+(``RowProducts``), table a mapping a packed row r to r M moved to row a,
+filled on first lookup.  The key of X M is then n lookups, one sum and
+one reduction (``product_key``), and that of A B + C D two sums and one
+reduction (``rule_key``).  The bracket with a fixed A is the same sum over
+the tables of -A (``bracket_rows``): [A, x] = sum_i T_i[x_i] with
+T_i[r] = [A, E_i(r)], E_i(r) having row i equal to r and zeros elsewhere,
+so T_i[r] is r (-A) moved to row i plus A E_i(r) = r times A's column i,
+the extra term of a table, 0 in the others.  Entries are unreduced slot
+sums, and every key sum is reduced once (``_reduce_key``): over F_2 to
+the low bit of each slot, over an odd p through ``translate``.  No slot
+carries.  Over F_2 a slot of [A, x] = A x + x A or of A B + C D sums at
+most 2 n bits, and an F_2 space that interns its rows has n <= 12.  Over
+an odd p a slot of [A, x] = A x + x (-A) is at most n (p-1) (p-1) +
+n (p-1) p, the bound of ``mul2`` that ``fits`` imposes, and one of
+A B + C D at most 2 n (p-1)^2.  The bracket's result is its key as it
+stands (``matrix._KeyMatrix``); ``unkey`` decodes rows or packed rows
+when they are read.  The tables live as long as their owner: the map
+that made them (``matrix.bracket_map``), with at most n p^n entries
+(49,152 at F_2, n = 12), or the exhaustive domain (``matrix.RankDomain``).
+An entry costs about one row of ``mul2``.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ def space(p: int, n: int):
 class Space:
     """Packed arithmetic on n x n matrices over F_p for one packing (p, n)."""
 
-    __slots__ = ("p", "n", "ones", "mod", "intern", "packed")
+    __slots__ = ("p", "n", "ones", "lows", "mod", "intern", "packed")
 
     def __init__(self, p: int, n: int):
         self.p = p
@@ -97,12 +96,15 @@ class Space:
         self.mod = bytes(v % p for v in range(256))
         # F_2 rows are interned by their packed int, odd-p rows by their
         # reduced bytes; ``packed`` maps each interned row to its packed int
-        self.intern = self.packed = None
+        self.intern = self.packed = self.lows = None
         if p ** n <= INTERN_ROWS:
             rows = list(itertools.product(range(p), repeat=n))
             self.packed = {r: int.from_bytes(bytes(r), "little") for r in rows}
             key = self.packed.__getitem__ if p == 2 else bytes
             self.intern = {key(r): r for r in rows}
+            # the low bit of every slot of a key, to which an F_2 key sum is
+            # reduced; only a space that interns its rows makes tables
+            self.lows = int.from_bytes(b"\x01" * (n * n), "little")
 
     def pack(self, rows) -> tuple:
         """Packed rows of rows of canonical residues; other entries, which
@@ -176,7 +178,7 @@ class Space:
 
     def neg(self, packed):
         """Packed rows of -M with every slot p - v in [1, p], so nothing
-        borrows; over F_2 -M is M.  Only the row tables' -A
+        borrows; over F_2 -M is M.  Only the bracket tables' -A
         (``bracket_rows``) holds such slots; ``mul2``'s d may too."""
         if self.p == 2:
             return packed
@@ -196,40 +198,7 @@ class Space:
         return self._reduce([sum(map(mul, ra, b)) + sum(map(mul, rc, d))
                              for ra, rc in zip(a_rows, c_rows)])
 
-    # -- the bracket with a fixed A ------------------------------------------------
-
-    def bracket_rows(self, a_rows):
-        """The row tables T_0 .. T_{n-1} of [A, .] for the matrix with rows
-        ``a_rows``, empty until looked up (``BracketRows``), or None when
-        A's entries are not canonical residues or the space does not intern
-        its rows."""
-        if self.intern is None:
-            return None
-        try:
-            a_packed = self.pack(a_rows)
-        except UsageError:
-            return None
-        n = self.n
-        # row i of T_i[r] holds -r A, summed from -A's slots in [1, p]
-        minus = a_packed if self.p == 2 else tuple(self.neg(a_packed))
-        # A_ki moved from slot n k + i to slot n k, for every k
-        a = int.from_bytes(bytes(itertools.chain.from_iterable(a_rows)), "little")
-        first = int.from_bytes((b"\xff" + bytes(n - 1)) * n, "little")
-        return tuple([BracketRows(self, minus, a >> 8 * i & first, 8 * n * i)
-                      for i in range(n)])
-
-    def bracket(self, tables, x_rows):
-        """The key (``key``) of [A, x] = sum_i T_i[x_i] for the row tables
-        ``tables`` of A.  Over F_2 the sum is an XOR.  Over an odd p it is
-        A x + x (-A) unreduced, within the bound of ``mul2`` that ``fits``
-        imposes, and is reduced once."""
-        if self.p == 2:
-            return reduce(xor, map(dict.__getitem__, tables, x_rows))
-        n = self.n
-        return sum(map(dict.__getitem__, tables, x_rows)).to_bytes(
-            n * n, "little").translate(self.mod)
-
-    # -- whole-matrix keys and row products -----------------------------------
+    # -- whole-matrix keys and fixed-factor tables ----------------------------
 
     def key(self, packed):
         """The key of the matrix with packed rows ``packed``: over F_2 one int
@@ -243,7 +212,7 @@ class Space:
     def unkey(self, key, packed=False):
         """The rows of the matrix whose key (``key``) is ``key``, or with
         ``packed`` its packed rows.  Only a space that interns its rows
-        makes keys to decode (``bracket``), so the rows are interned."""
+        makes keys to decode (``product_key``), so the rows are interned."""
         n = self.n
         if self.p == 2:
             mask = (1 << 8 * n) - 1
@@ -255,31 +224,51 @@ class Space:
         return tuple(map(self.intern.__getitem__, raw))
 
     def row_products(self, packed):
-        """The row-product tables of the matrix M with canonical packed rows
-        ``packed``, empty until looked up: table a maps a packed row r to
-        r M moved to row a of a key (``RowProducts``)."""
+        """The tables of the matrix M with canonical packed rows ``packed``,
+        empty until looked up: table a maps a packed row r to r M moved to
+        row a of a key (``RowProducts``)."""
         n = self.n
         return tuple([RowProducts(self, packed, 8 * n * a) for a in range(n)])
 
+    def bracket_rows(self, a_rows):
+        """The tables T_0 .. T_{n-1} of [A, .] for the matrix with rows
+        ``a_rows``: the ``RowProducts`` of -A, table i with A's column i as
+        its extra term, empty until looked up; or None when A's entries are
+        not canonical residues or the space does not intern its rows."""
+        if self.intern is None:
+            return None
+        try:
+            a_packed = self.pack(a_rows)
+        except UsageError:
+            return None
+        n = self.n
+        # row i of T_i[r] holds -r A, summed from -A's slots in [1, p]
+        minus = self.neg(a_packed)
+        # A_ki moved from slot n k + i to slot n k, for every k
+        a = int.from_bytes(bytes(itertools.chain.from_iterable(a_rows)), "little")
+        first = int.from_bytes((b"\xff" + bytes(n - 1)) * n, "little")
+        return tuple([RowProducts(self, minus, 8 * n * i, a >> 8 * i & first)
+                      for i in range(n)])
+
     def product_key(self, rows, tables):
         """The key of X M, for X's canonical packed ``rows`` and M's
-        ``row_products`` tables: n lookups and one sum, exact over F_2,
-        where the rows fill disjoint slots, and reduced once over an odd p."""
-        total = sum(map(dict.__getitem__, tables, rows))
-        if self.p == 2:
-            return total
-        return total.to_bytes(self.n * self.n, "little").translate(self.mod)
+        ``row_products`` tables, or of [A, x] for x's and A's
+        ``bracket_rows``: n lookups, one sum, one reduction."""
+        return self._reduce_key(sum(map(dict.__getitem__, tables, rows)))
 
     def rule_key(self, a_rows, b_tables, c_rows, d_tables):
         """The key of A B + C D, for packed rows of A and C and tables of B
-        and D, all canonical.  Over an odd p each slot sums to at most
-        2 n (p-1)^2, within the bound of ``mul2`` that ``fits`` imposes, and
-        is reduced once."""
+        and D, all canonical: two sums of n lookups, one reduction."""
         ab = sum(map(dict.__getitem__, b_tables, a_rows))
         cd = sum(map(dict.__getitem__, d_tables, c_rows))
+        return self._reduce_key(ab + cd)
+
+    def _reduce_key(self, total):
+        """The key of a sum of table entries, within the module docstring's
+        bounds: over F_2 each slot's low bit, over an odd p each slot mod p."""
         if self.p == 2:
-            return ab ^ cd
-        return (ab + cd).to_bytes(self.n * self.n, "little").translate(self.mod)
+            return total & self.lows
+        return total.to_bytes(self.n * self.n, "little").translate(self.mod)
 
     # -- elimination ------------------------------------------------------------
 
@@ -401,59 +390,30 @@ class Space:
         return (self._bits(p), p), r, (self._bits(q), q)
 
 
-class BracketRows(dict):
-    """T_i of a fixed A: row r -> [A, E_i(r)] as one int of n^2 slots,
-    built on the first lookup of r, so a derivation applied to m matrices
-    holds at most n m entries and never more than n p^n (49,152 at F_2,
-    n = 12).  An entry costs a handful of integer operations: the product
-    of r's packed row with ``column`` (A_ki in slot n k, so row k is A_ki r
-    with no carry) plus, shifted to row i, the sum of the rows of ``minus``
-    that r selects (-r A, unreduced over an odd p)."""
-
-    __slots__ = ("space", "minus", "column", "shift")
-
-    def __init__(self, space, minus, column, shift):
-        self.space = space
-        self.minus = minus
-        self.column = column
-        self.shift = shift
-
-    def __missing__(self, r):
-        sp = self.space
-        try:
-            rp = sp.packed[r]
-        except KeyError:
-            raise UsageError(
-                f"matrix entries are not canonical residues mod {sp.p}") from None
-        if sp.p == 2:
-            entry = rp * self.column ^ (
-                reduce(xor, itertools.compress(self.minus, r), 0) << self.shift)
-        else:
-            entry = rp * self.column + (sum(map(mul, r, self.minus)) << self.shift)
-        self[r] = entry
-        return entry
-
-
 class RowProducts(dict):
-    """Table a of a fixed M: a canonical packed row r -> r M as one packed
-    row, moved to row a of a key by ``shift``, built on the first lookup of
-    r, so it holds at most p^n entries.  Over F_2 an entry is the XOR of the
-    rows of M that r selects; over an odd p their slot sum, at most
-    n (p-1)^2, left unreduced."""
+    """Table a of a fixed M: a canonical packed row r -> r M, the unreduced
+    slot sum of the rows of M that r selects, moved to row a of a key by
+    ``shift``, plus r ``column``; built on the first lookup of r, so it
+    holds at most p^n entries.  ``column`` is 0 but in a bracket table
+    (``bracket_rows``), where M is -A and ``column`` holds A_ki in slot
+    n k, so that r ``column`` is A E_i(r) with no carry."""
 
-    __slots__ = ("space", "packed", "shift")
+    __slots__ = ("space", "packed", "shift", "column")
 
-    def __init__(self, space, packed, shift):
+    def __init__(self, space, packed, shift, column=0):
         self.space = space
         self.packed = packed
         self.shift = shift
+        self.column = column
 
     def __missing__(self, r):
         sp = self.space
         coeffs = r.to_bytes(sp.n, "little")
         if sp.p == 2:
-            entry = reduce(xor, itertools.compress(self.packed, coeffs), 0) << self.shift
+            # no multiplications: half the cost of a fill at n = 12
+            rm = sum(itertools.compress(self.packed, coeffs))
         else:
-            entry = sum(map(mul, coeffs, self.packed)) << self.shift
+            rm = sum(map(mul, coeffs, self.packed))
+        entry = r * self.column + (rm << self.shift)
         self[r] = entry
         return entry

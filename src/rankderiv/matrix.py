@@ -19,13 +19,17 @@ form's P and Q come with their packed rows, and ``masked`` makes the
 factors from them with a byte mask or zeroed rows, so they are never
 packed again.  Over an odd p byte-wise sums are reduced mod p once per
 result row.  ``product_sum`` forms a b + c d, the right side of the
-product rule, in one such pass.  These results hold their rows; the
-bracket by row tables (``bracket_map``) instead returns a ``_KeyMatrix``,
-which holds only the whole-matrix key of ``_packed``: two of them compare
-keys, and the rows and packed rows are decoded from the key when first
-read.  Packing needs every unreduced byte sum to stay below 256.  The
-largest one is that of a b + c d, n (p-1) (2p-1), so F_2 packs at every
-n, F_3 up to n = 25, F_5 up to n = 7 and F_7 up to n = 3.  Other
+product rule, in one such pass.  These results hold their rows.  Where
+the packed space interns its rows, the bracket with a fixed A
+(``bracket_map``) and the products of the exhaustive pair loops
+(``RankDomain``) read tables of their fixed factor (M4RI's "method of the
+Four Russians": Albrecht, Bard and Hart, ACM TOMS 2010), which sum to the
+whole-matrix key of ``_packed``.  The bracket returns a ``_KeyMatrix``,
+which holds only that key: two of them compare keys, and the rows and
+packed rows are decoded from the key when first read.  Packing needs
+every unreduced byte sum to stay below 256.  The largest one is that of
+a b + c d, n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25,
+F_5 up to n = 7 and F_7 up to n = 3.  Other
 prime-field matrices, and the odd-p rank normal form and every nullspace,
 use the generic elimination below with ``PrimeField`` operations.
 
@@ -451,18 +455,15 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
     bracket with A reuses resolved once, here:
 
     * A packed space that interns its rows (p^n <= ``_packed.INTERN_ROWS``)
-      brackets by row tables: [A, x] = sum_i T_i[x_i], with T_i[r] =
-      [A, E_i(r)] and E_i(r) the matrix whose row i is r and whose other
-      rows are zero.  That is n lookups, one XOR or slot sum and one
-      reduction (the "method of the Four Russians" of M4RI: Albrecht, Bard
-      and Hart, ACM TOMS 2010; layout and bound in ``_packed``).  The
-      tables are made here and an entry is filled on the first lookup of
-      its row, so a map applied to m matrices holds at most n m entries,
-      never more than n p^n (49,152 at F_2, n = 12), and they die with it.
-      An entry costs about one row of ``product_sum``'s pass, so the tables
-      pay off as rows recur among the matrices one map brackets.  The sum
-      is the whole-matrix key of [A, x], and the result holds only that
-      (``_KeyMatrix``).
+      brackets by the fixed-factor tables of A (``Space.bracket_rows``): n
+      lookups on x's packed rows, which are cached, one sum and one
+      reduction.  The tables are made here and an entry is filled on the
+      first lookup of its row, so a map applied to m matrices holds at most
+      n m entries, never more than n p^n (49,152 at F_2, n = 12), and they
+      die with it.  An entry costs about one row of ``product_sum``'s pass,
+      so the tables pay off as rows recur among the matrices one map
+      brackets.  The sum is the whole-matrix key of [A, x], and the result
+      holds only that (``_KeyMatrix``).
     * Over Q, Q(t) and F_p(t), when every entry of A and x is a
       polynomial, [A, x] is computed on integers at t = 2^B
       (``_kronecker``) and held as its integer form.  When mu is c d/dt
@@ -507,7 +508,7 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
         return lambda x: plus_mu(generic(x), x)
 
     def keyed(x):
-        return Matrix._from_key(f, sp, sp.bracket(tables, x.rows))
+        return Matrix._from_key(f, sp, sp.product_key(x._packed_rows(sp), tables))
     if not mu.is_zero():
         return lambda x: plus_mu(keyed(x), x)
     return keyed
@@ -753,13 +754,12 @@ class RankDomain:
     In a packed space that interns its rows (p^n <= ``_packed.INTERN_ROWS``,
     which holds wherever the exhaustive guards admit s >= 1 at n >= 2) the
     key of a matrix is ``Space.key`` of its packed rows.  Each matrix M has
-    n row-product tables, row a of X M from X's row a, filled on first
-    lookup, so the key of X M is n lookups and one sum, reduced once over
-    an odd p: M4RI's "method of the Four Russians" for a fixed right factor
-    (Albrecht, Bard and Hart, ACM TOMS 2010), as ``bracket_map`` uses it.
-    No ``Matrix`` is built per pair.  Elsewhere the key of a matrix is its
-    rows and products are ``Matrix`` arithmetic.  The tables live as long
-    as the domain.
+    n fixed-factor tables, row a of X M from X's row a, filled on first
+    lookup, so the key of X M is n lookups, one sum and one reduction
+    (``_packed.Space.product_key``), the tables ``bracket_map`` uses with
+    no extra term.  No ``Matrix`` is built per pair.  Elsewhere the key of
+    a matrix is its rows and products are ``Matrix`` arithmetic.  The
+    tables live as long as the domain.
     """
 
     __slots__ = ("n", "field", "matrices", "index", "_space", "_rows", "_tables")

@@ -33,12 +33,12 @@ MUTANTS = [
     ("_packed.py", "        return [pones - r for r in packed]",
      "        return [pones - self.ones - r for r in packed]",
      "tests/test_packed.py::test_fixed_a_bracket_tables"),
-    ("_packed.py", "        minus = a_packed if self.p == 2 else tuple(self.neg(a_packed))",
+    ("_packed.py", "        minus = self.neg(a_packed)",
      "        minus = a_packed",
      "tests/test_packed.py::test_fixed_a_bracket_tables"),
     ("_packed.py",
-     "        return tuple([BracketRows(self, minus, a >> 8 * i & first, 8 * n * i)",
-     "        return tuple([BracketRows(self, minus, a >> 8 * i & first, 8 * i)",
+     "        return tuple([RowProducts(self, minus, 8 * n * i, a >> 8 * i & first)",
+     "        return tuple([RowProducts(self, minus, 8 * i, a >> 8 * i & first)",
      "tests/test_packed.py::test_fixed_a_bracket_tables"),
     ("matrix.py", "            minus = -a", "            minus = a",
      " ".join(f"tests/test_packed.py::test_fixed_a_bracket_tables[{p}-{n}]"
@@ -75,9 +75,12 @@ MUTANTS = [
      "        return self.index[sp.product_key(self._rows[j], self._tables[i])]",
      "tests/test_derivations.py::test_verify_inner_derivation_pass"),
     ("_packed.py",
-     '        return (ab + cd).to_bytes(self.n * self.n, "little").translate(self.mod)',
-     '        return (ab + cd).to_bytes(self.n * self.n, "little")',
+     '        return total.to_bytes(self.n * self.n, "little").translate(self.mod)',
+     '        return total.to_bytes(self.n * self.n, "little")',
      "tests/test_derivations.py::test_verify_exhaustive_matches_matrix_arithmetic[F3-2]"),
+    ("_packed.py", "            return total & self.lows", "            return total",
+     "tests/test_packed.py::test_fixed_a_bracket_tables[2-4] "
+     "tests/test_derivations.py::test_verify_exhaustive_matches_matrix_arithmetic[F2-3]"),
     ("_packed.py",
      "        return tuple([RowProducts(self, packed, 8 * n * a) for a in range(n)])",
      "        return tuple([RowProducts(self, packed, 8 * a) for a in range(n)])",
@@ -133,6 +136,15 @@ def _run(tmp_path, tests, edit=None):
         [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests.split()],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     return run.returncode, run.stdout[-2000:]
+
+
+def test_mutated_lines_are_there_once():
+    # fast, unlike the mutants: an edit to a mutated line must fail here,
+    # not leave its mutant to be found missing only by ``pytest -m slow``
+    src = ROOT / "src" / "rankderiv"
+    counts = {(path, line): (src / path).read_text().split("\n").count(line)
+              for path, line, _, _ in MUTANTS}
+    assert {place: c for place, c in counts.items() if c != 1} == {}
 
 
 @pytest.mark.slow

@@ -318,10 +318,10 @@ def test_fixed_a_bracket_tables(p, n, monkeypatch):
     # the largest slot sum past the bound, F_3 n = 25 the largest odd-p n
     # that packs); both must give a x - x a
     made, filled = [], []
-    bracket_rows, missing = _packed.Space.bracket_rows, _packed.BracketRows.__missing__
+    bracket_rows, missing = _packed.Space.bracket_rows, _packed.RowProducts.__missing__
     monkeypatch.setattr(_packed.Space, "bracket_rows",
                         lambda sp, rows: made.append(bracket_rows(sp, rows)) or made[-1])
-    monkeypatch.setattr(_packed.BracketRows, "__missing__",
+    monkeypatch.setattr(_packed.RowProducts, "__missing__",
                         lambda table, r: filled.append(r) or missing(table, r))
     field = parse_field(f"F{p}")
     D = CanonicalDerivation.random(field, n, seed=n)
@@ -355,24 +355,30 @@ def test_fixed_a_bracket_tables(p, n, monkeypatch):
         apply_derivation(bad_a, Matrix.identity(field, n))
 
 
-@pytest.mark.parametrize("p, n", [(3, 7), (5, 5), (7, 3), (11, 1)])
+@pytest.mark.parametrize("p, n", [(2, 12), (3, 7), (5, 5), (7, 3), (11, 1)])
 def test_fixed_a_bracket_at_slot_bound(p, n):
-    # over an odd p the entries stay unreduced, so the n terms of a bracket
-    # sum to A x + x (-A) before its one reduction.  With x all p - 1 and A
-    # all p - 1 but for zeros below row 0 in the last column, slot (0, n-1)
-    # of that sum is n (p-1)^2 + (n-1) (p-1) p + (p-1), near mul2's bound
-    # n (p-1) (2p-1) (198 of 234 at F_7, n = 3)
+    # the entries stay unreduced, so the n terms of a bracket sum to
+    # A x + x (-A) before its one reduction.  With x all p - 1 and A all
+    # p - 1 but for zeros below row 0 in the last column, over an odd p
+    # slot (0, n-1) of that sum is n (p-1)^2 + (n-1) (p-1) p + (p-1), near
+    # mul2's bound n (p-1) (2p-1) (198 of 234 at F_7, n = 3).  Over F_2,
+    # where -A is A, slot (0, 0) is 2 n, the most any F_2 key sum reaches
+    # (24 at n = 12, the largest F_2 n with tables), and the reduction
+    # keeps its low bit
     sp = _packed.space(p, n)
     mats = _seeded(n, p, 4, "bracket-bound")
     top = mats[2]
     peak = top[:1] + tuple(row[:-1] + (0,) for row in top[1:])
-    raw = sum(map(dict.__getitem__, sp.bracket_rows(peak), top))
-    assert raw.to_bytes(n * n, "little")[n - 1] == (
-        n * (p - 1) ** 2 + (n - 1) * (p - 1) * p + (p - 1))
+    raw = sum(map(dict.__getitem__, sp.bracket_rows(peak), sp.pack(top)))
+    if p == 2:
+        assert raw.to_bytes(n * n, "little")[0] == 2 * n
+    else:
+        assert raw.to_bytes(n * n, "little")[n - 1] == (
+            n * (p - 1) ** 2 + (n - 1) * (p - 1) * p + (p - 1))
     for a in (peak, *mats):
         rows = sp.bracket_rows(a)
         for x in mats:
-            got = sp.unkey(sp.bracket(rows, x))
+            got = sp.unkey(sp.product_key(sp.pack(x), rows))
             assert got == _rows(lists.mat_sub(lists.mat_mul(a, x, p),
                                               lists.mat_mul(x, a, p), p))
 
