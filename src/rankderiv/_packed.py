@@ -304,30 +304,27 @@ class Space:
                 basis.append((shift, r))
         return len(basis)
 
-    def nullspace2(self, packed) -> list:
-        """``mat_nullspace`` over F_2 of the rows ``packed``, any number of
-        them: one kernel vector per free column, ascending, packed."""
-        # the reduced row echelon form is unique, so any Gauss-Jordan order
-        # gives the basis of the list kernels.  A new pivot row is reduced
-        # by the older ones and then cleared from them; an older row that
-        # holds its pivot bit has its own pivot further left, so every
-        # pivot stays the lowest set bit of its row
-        pivots = []   # (pivot bit, fully reduced row)
-        for r in packed:
-            for low, b in pivots:
+    def dependencies2(self, packed):
+        """Which F_2 rows ``packed`` depend on the rows before them:
+        ``(kept, kernel)``, the places of the independent rows (the pivot
+        columns of the transpose) and, for each dependent place f in
+        ascending order, the packed vector with 1 at f and at the kept
+        places whose rows sum to row f (the transpose's ``mat_nullspace``)."""
+        # reduced as in ``rank``, each row carrying the places it sums
+        basis = []   # (lowest bit, reduced row, places summed)
+        kept, kernel = [], []
+        for f, r in enumerate(packed):
+            comb = 1 << (8 * f)
+            for low, b, c in basis:
                 if r & low:
                     r ^= b
+                    comb ^= c
             if r:
-                low = r & -r
-                pivots = [(pl, b ^ r if b & low else b) for pl, b in pivots]
-                pivots.append((low, r))
-        pivot_bits = sum(low for low, _ in pivots)
-        basis = []
-        for free in range(self.n):
-            bit = 1 << (8 * free)
-            if not pivot_bits & bit:
-                basis.append(bit | sum(low for low, b in pivots if b & bit))
-        return basis
+                basis.append((r & -r, r, comb))
+                kept.append(f)
+            else:
+                kernel.append(comb)
+        return kept, kernel
 
     def rnf2(self, packed):
         """Rank normal form over F_2: ``(P, k, Q)`` with P and Q as

@@ -202,7 +202,11 @@ class DeltaDomain:
             return cls(token)
         for kind in ("rank-leq", "rank-exact"):
             if token.startswith(kind + "(") and token.endswith(")"):
-                return cls(kind, int(token[len(kind) + 1:-1]))
+                try:
+                    s = int(token[len(kind) + 1:-1])
+                except ValueError:
+                    break
+                return cls(kind, s)
         raise UsageError(f"unknown domain token {token!r}")
 
 
@@ -339,6 +343,8 @@ class DeltaMap:
         if not m:
             raise UsageError(f"bad delta table header {header!r}")
         n = int(m.group(1))
+        if n < 1:
+            raise UsageError("matrix must be square with n >= 1")
         fld = parse_field(m.group(2))
         domain = DeltaDomain.from_token(m.group(3))
         table = {}
@@ -407,7 +413,7 @@ def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
         raise UsageError(f"garbage ranks {sorted(garbage)} outside [0, {n}]")
 
     def fn(x: Matrix) -> Matrix:
-        if x.rank() in garbage:
+        if garbage and x.rank() in garbage:
             rng = random.Random(
                 f"rankderiv.garbage|{seed}|{fld.spec()}|{n}|{x.encode()}")
             return Matrix._raw(fld, [[fld.random_element(rng) for _ in range(n)]

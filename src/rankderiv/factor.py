@@ -12,8 +12,9 @@
 Factors are P and Q with columns or rows zeroed (``matrix.masked``, which
 masks packed rows as they stand).  ``adapted_factor`` reads W^T, the first
 s columns of Q R transposed: its pivot columns in case-I, its kernel in
-case-II, on packed rows over F_2 and through the generic ``_echelon``
-otherwise.  Every path gives the same factors.
+case-II.  Over F_2 one pass over W's packed rows gives both
+(``Space.dependencies2``); otherwise the generic ``_echelon`` does.  Every
+path gives the same factors.
 """
 
 from __future__ import annotations
@@ -87,28 +88,6 @@ def second_factor_rank_s(y: Matrix, s: int) -> RankSFactorization:
     return RankSFactorization(y1, y2, s)
 
 
-def _select_independent_bits(rows, want: int) -> list:
-    """The first ``want`` independent F_2 rows (held as ints), row 0 nonzero
-    among them: the pivot columns of the transpose, as 0-based indices."""
-    # each kept row is reduced by all earlier ones, so it has none of their
-    # lowest bits set, and a row reduces to 0 exactly when it is dependent
-    basis = [(rows[0] & -rows[0], rows[0])] if rows[0] else []
-    selected = [0]
-    for i in range(1, len(rows)):
-        if len(selected) == want:
-            break
-        r = rows[i]
-        for low, b in basis:
-            if r & low:
-                r ^= b
-        if r:
-            basis.append((r & -r, r))
-            selected.append(i)
-    if len(selected) != want:
-        raise PreconditionError("rows do not span the required rank")
-    return selected
-
-
 def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
     """Factor the rank-1 matrix x as x1 * x2 (both rank s) adapted to the
     rank-s matrix y: in case-I the product x2 * y keeps rank s, in case-II
@@ -127,14 +106,15 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
     P, Q, R = fx.P, fx.Q, fy.P
     # W = Q R J_s, of which only the first s columns matter.  Case-I (row 0
     # of W nonzero) keeps the rows of Q at the pivot columns of W^T; in
-    # case-II the first s kernel vectors of W^T, e_0 first, make x2 Q^-1
+    # case-II the first s kernel vectors of W^T, e_0 first, make x2 Q^-1.
+    # Over F_2 one pass over W's rows finds both
     sp = x._space()
     if sp is not None and sp.p == 2:
         first = sp.slots(range(s))
-        w_rows, w = sp.mul(Q.rows, [r & first for r in R._packed_rows(sp)])
+        w = sp.mul(Q.rows, [r & first for r in R._packed_rows(sp)])[1]
+        kept, kernel = sp.dependencies2(w)
         if w[0]:
-            return _case_one(P, Q, s, _select_independent_bits(w, s))
-        kernel = sp.nullspace2(sp.pack(list(islice(zip(*w_rows), s))))
+            return _case_one(P, Q, s, kept)
         block = sp.decode(kernel[:s] + [0] * (n - s))[0]
         x2 = Matrix._from_packed(field, sp.mul(block, Q._packed_rows(sp)))
         return _case_two(P, x2, s)

@@ -333,6 +333,8 @@ class Matrix:
         if not m:
             raise UsageError(f"bad matrix header {lines[0]!r}")
         n = int(m.group(1))
+        if n < 1:
+            raise UsageError("matrix must be square with n >= 1")
         from .fields import parse_field
         field = parse_field(m.group(2))
         if len(lines) != n + 1:

@@ -188,6 +188,13 @@ def test_verify_rejects_incomplete_table(capsys, tmp_path):
     assert "delta table has 9 records, but domain rank-leq(1) over F2 at n=2 has 10 matrices" in err
 
 
+def test_extract_rejects_unknown_domain_token(capsys, tmp_path):
+    path = tmp_path / "token.delta"
+    path.write_text("delta n 2 field F3 domain rank-leq(x)\n")
+    code, out, err = run_cli(capsys, "extract", "--delta", str(path), "--s", "1")
+    assert (code, out, err) == (2, "", "error: unknown domain token 'rank-leq(x)'\n")
+
+
 def test_verify_sampled_needs_seed(capsys, ad_e12_full_file):
     code, _, err = run_cli(capsys, "verify", "--delta", ad_e12_full_file,
                            "--s", "1", "--mode", "sampled")

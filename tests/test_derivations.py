@@ -171,7 +171,7 @@ def test_full_domain_computes_no_rank(F3, Qt):
         x = random_rank_k(3, 2, field, seed=5)
         table = DeltaMap.from_table(3, field, DeltaDomain.full(),
                                     {x: apply_derivation(d, x)})
-        for delta in (derivation_delta(d), table):
+        for delta in (derivation_delta(d), table, make_delta(d)):
             assert delta(x) == apply_derivation(d, x)
             assert x._rank is None
         assert derivation_delta(d, DeltaDomain.rank_leq(2))(x) == apply_derivation(d, x)
@@ -1169,11 +1169,15 @@ REFUSALS = {
                     r"^domain rank-leq needs a rank parameter$"),
     "domain-token": (lambda: DeltaDomain.from_token("rank-leq[1]"), UsageError,
                      r"^unknown domain token 'rank-leq\[1\]'$"),
+    "domain-token-rank": (lambda: DeltaDomain.from_token("rank-leq(x)"), UsageError,
+                          r"^unknown domain token 'rank-leq\(x\)'$"),
     "tabulate-infinite": (lambda: make_delta(CanonicalDerivation(Matrix.zero(_Q, 2))).tabulate(),
                           UsageError, r"^cannot tabulate a map over an infinite field$"),
     "text-empty": (lambda: DeltaMap.from_text(""), UsageError, r"^empty delta table text$"),
     "text-header": (lambda: DeltaMap.from_text("delta n 2 field F2\n"), UsageError,
                     r"^bad delta table header 'delta n 2 field F2'$"),
+    "text-n": (lambda: DeltaMap.from_text("delta n 0 field Q domain full\n"), UsageError,
+               r"^matrix must be square with n >= 1$"),
     "text-record": (lambda: DeltaMap.from_text(_HEADER + "0 0 0 0 -> 0 0 0 0 -> 0\n"),
                     UsageError, r"^bad delta table record '0 0 0 0 -> 0 0 0 0 -> 0'$"),
     "text-entries": (lambda: DeltaMap.from_text(_HEADER + "0 0 0 -> 0 0 0 0\n"), UsageError,

@@ -14,8 +14,7 @@ from rankderiv import (
     parse_field,
     rank_set,
 )
-from rankderiv.factor import _select_independent_bits, second_factor_rank_s
-from rankderiv.matrix import _echelon
+from rankderiv.factor import second_factor_rank_s
 
 
 # -- factor_rank_s --------------------------------------------------------------
@@ -138,29 +137,6 @@ def test_adapt_case_two_tag_matches_definition(F2):
             qr = x.rank_normal_form().Q * y.rank_normal_form().P
             top_vanishes = all(qr[0, j] == 0 for j in range(s))
             assert (fac.case_tag == "case-II") == top_vanishes
-
-
-def _bit_rows(rows):
-    """F_2 rows as packed ints, entry j in bit 8 j."""
-    return [sum(v << (8 * j) for j, v in enumerate(row)) for row in rows]
-
-
-def test_select_independent_bits_matches_field_rows(F2):
-    # the greedy rows are row 0 and the nonzero pivot columns of the
-    # transpose (row 0 is its first pivot column unless it is zero)
-    rng = random.Random("select-bits")
-    for trial in range(400):
-        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 5)
-        rows = [[rng.randrange(2) if rng.random() < 0.6 else 0 for _ in range(n_cols)]
-                for _ in range(n_rows)]
-        want = rng.randint(1, n_cols)
-        pivots = [col for col, _, _ in _echelon(list(zip(*rows)), F2)[0]]
-        sel = [0] + [c for c in pivots if c]
-        if len(sel) < want:
-            with pytest.raises(PreconditionError, match="rows do not span the required rank"):
-                _select_independent_bits(_bit_rows(rows), want)
-        else:
-            assert _select_independent_bits(_bit_rows(rows), want) == sel[:want]
 
 
 # -- rank_set / cover_rank ----------------------------------------------------------

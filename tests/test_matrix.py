@@ -263,6 +263,8 @@ REFUSALS = {
     "not-a-matrix": (lambda: Matrix.identity(_Q, 2) * 3, UsageError,
                      r"^expected a Matrix, got int$"),
     "empty-text": (lambda: Matrix.from_text(""), UsageError, r"^empty matrix text$"),
+    "text-n": (lambda: Matrix.from_text("n 0 field F2\n"), UsageError,
+               r"^matrix must be square with n >= 1$"),
     "arith-op": (lambda: mat_arith(Matrix.identity(_Q, 2), Matrix.identity(_Q, 2), "div"),
                  UsageError, r"^unknown matrix op 'div'$"),
     "count-rank": (lambda: rank_count_formula(2, 3, 2), PreconditionError,

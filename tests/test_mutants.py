@@ -89,8 +89,12 @@ MUTANTS = [
     ("_packed.py", "        cd = sum(map(dict.__getitem__, d_tables, c_rows))", "        cd = 0",
      " ".join(f"tests/test_derivations.py::test_verify_exhaustive_matches_matrix_arithmetic[{c}]"
               for c in ("F2-3", "F3-2"))),
-    ("factor.py", "    selected = [0]", "    selected = []",
-     "tests/test_factor.py::test_select_independent_bits_matches_field_rows"),
+    ("_packed.py", "                    comb ^= c", "                    pass",
+     "tests/test_factor_pins.py::test_factor_outputs_pinned[adapted-F2-4] "
+     "tests/test_packed.py::test_dependencies2_matches_list_kernels"),
+    ("_packed.py", "            comb = 1 << (8 * f)", "            comb = 1 << f",
+     "tests/test_factor_pins.py::test_factor_outputs_pinned[adapted-F2-4] "
+     "tests/test_packed.py::test_dependencies2_matches_list_kernels"),
     ("matrix.py", "            elif _kronecker.ranks(self.field) and _kronecker.rep(self):",
      "            elif _kronecker.ranks(self.field):",
      "tests/test_kronecker.py::test_rank_rows_with_polynomial_denominators"),
@@ -145,6 +149,19 @@ def test_mutated_lines_are_there_once():
     counts = {(path, line): (src / path).read_text().split("\n").count(line)
               for path, line, _, _ in MUTANTS}
     assert {place: c for place, c in counts.items() if c != 1} == {}
+
+
+def test_mutant_tests_exist():
+    # fast too: a deleted or renamed test would otherwise count as a
+    # survived mutant, and only under ``pytest -m slow``
+    missing = []
+    for test in sorted({t for m in MUTANTS for t in m[3].split()}):
+        path, _, name = test.partition("::")
+        name = name.partition("[")[0]
+        text = (ROOT / path).read_text() if (ROOT / path).is_file() else None
+        if text is None or name and f"\ndef {name}(" not in text:
+            missing.append(test)
+    assert missing == []
 
 
 @pytest.mark.slow

@@ -3,9 +3,9 @@
 Every packed operation (add, sub, mul, the fused a b + c d of
 ``product_sum``, which is also the bracket past the intern bound, the
 bracket by fixed-A row tables within it, rank, the F_2 rank normal form and
-the F_2 nullspace) must give exactly what ``_kernels_py`` gives, including
-the RNF transforms P and Q and their packed rows.  So must the generic
-elimination that serves the rest: the odd-p rank normal form, every
+the F_2 row dependencies) must give exactly what ``_kernels_py`` gives,
+including the RNF transforms P and Q and their packed rows.  So must the
+generic elimination that serves the rest: the odd-p rank normal form, every
 nullspace and rref, square or rectangular, and every operation at a (p, n)
 past the slot bound, which must not pack at all.  The bracket's results
 within the intern bound, which hold only their whole-matrix key, must
@@ -30,7 +30,7 @@ from rankderiv import (
 )
 from rankderiv import _kernels_py as lists
 from rankderiv import _packed
-from rankderiv.matrix import _KeyMatrix, masked, product_sum
+from rankderiv.matrix import _KeyMatrix, _echelon, masked, product_sum
 
 
 def _rows(m):
@@ -177,16 +177,31 @@ def test_rnf2_more_sizes(n):
         _check_unary(field, a)
 
 
-def test_nullspace2_matches_list_kernel():
-    rng = random.Random("nullspace2")
-    for trial in range(400):
-        n_rows, n = rng.randint(1, 4), rng.randint(1, 8)
-        rows = [tuple(rng.randrange(2) for _ in range(n)) for _ in range(n_rows)]
-        if trial % 3 == 0:   # a dependent row
+def test_dependencies2_matches_list_kernels():
+    # the rows of W that adapted_factor reads: the shapes of its case-I row
+    # choice (up to 7 rows of 5 sparse entries) and of its case-II kernel
+    # (up to 8 rows of 4), a dependent row planted in every third trial and
+    # row 0 zeroed in every fourth, as in case-II
+    field = parse_field("F2")
+    rng = random.Random("dependencies2")
+    for trial in range(800):
+        if trial % 2:
+            n_rows, n_cols, density = rng.randint(1, 7), rng.randint(1, 5), 0.6
+        else:
+            n_rows, n_cols, density = rng.randint(1, 8), rng.randint(1, 4), 1.0
+        rows = [tuple(rng.randrange(2) if rng.random() < density else 0
+                      for _ in range(n_cols)) for _ in range(n_rows)]
+        if trial % 3 == 0:
             rows.append(tuple(a ^ b for a, b in zip(rows[0], rows[-1])))
-        sp = _packed.space(2, n)
-        want = sp.pack([tuple(v) for v in lists.mat_nullspace(rows, 2)])
-        assert sp.nullspace2(sp.pack(rows)) == list(want), rows
+        if trial % 4 == 0:
+            rows[0] = (0,) * n_cols
+        wt = list(zip(*rows))
+        sp = _packed.space(2, n_cols)
+        kept, kernel = sp.dependencies2(sp.pack(rows))
+        assert kept == [col for col, _, _ in _echelon(wt, field)[0]], rows
+        want = _packed.space(2, len(rows)).pack(
+            [tuple(v) for v in lists.mat_nullspace(wt, 2)])
+        assert kernel == list(want), rows
 
 
 @pytest.mark.parametrize("p", [2, 3])
