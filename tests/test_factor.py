@@ -14,7 +14,9 @@ from rankderiv import (
     parse_field,
     rank_set,
 )
+from rankderiv import _packed
 from rankderiv.factor import second_factor_rank_s
+from rankderiv.matrix import _echelon
 
 
 # -- factor_rank_s --------------------------------------------------------------
@@ -137,6 +139,21 @@ def test_adapt_case_two_tag_matches_definition(F2):
             qr = x.rank_normal_form().Q * y.rank_normal_form().P
             top_vanishes = all(qr[0, j] == 0 for j in range(s))
             assert (fac.case_tag == "case-II") == top_vanishes
+
+
+def test_select_independent_bits_matches_field_rows(F2):
+    # case-I keeps the rows of W at the pivot columns of W^T, read off
+    # Space.dependencies2 over F_2: row 0 first whenever it is nonzero
+    rng = random.Random("select-bits")
+    for trial in range(400):
+        n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 5)
+        rows = [tuple(rng.randrange(2) if rng.random() < 0.6 else 0 for _ in range(n_cols))
+                for _ in range(n_rows)]
+        sp = _packed.space(2, n_cols)
+        kept, _ = sp.dependencies2(sp.pack(rows))
+        assert kept == [col for col, _, _ in _echelon(list(zip(*rows)), F2)[0]], rows
+        if any(rows[0]):
+            assert kept[0] == 0, rows
 
 
 # -- rank_set / cover_rank ----------------------------------------------------------

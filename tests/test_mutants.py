@@ -91,10 +91,10 @@ MUTANTS = [
               for c in ("F2-3", "F3-2"))),
     ("_packed.py", "                    comb ^= c", "                    pass",
      "tests/test_factor_pins.py::test_factor_outputs_pinned[adapted-F2-4] "
-     "tests/test_packed.py::test_dependencies2_matches_list_kernels"),
+     "tests/test_packed.py::test_nullspace2_matches_list_kernel"),
     ("_packed.py", "            comb = 1 << (8 * f)", "            comb = 1 << f",
      "tests/test_factor_pins.py::test_factor_outputs_pinned[adapted-F2-4] "
-     "tests/test_packed.py::test_dependencies2_matches_list_kernels"),
+     "tests/test_packed.py::test_nullspace2_matches_list_kernel"),
     ("matrix.py", "            elif _kronecker.ranks(self.field) and _kronecker.rep(self):",
      "            elif _kronecker.ranks(self.field):",
      "tests/test_kronecker.py::test_rank_rows_with_polynomial_denominators"),

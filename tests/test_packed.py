@@ -177,7 +177,7 @@ def test_rnf2_more_sizes(n):
         _check_unary(field, a)
 
 
-def test_dependencies2_matches_list_kernels():
+def test_nullspace2_matches_list_kernel():
     # the rows of W that adapted_factor reads: the shapes of its case-I row
     # choice (up to 7 rows of 5 sparse entries) and of its case-II kernel
     # (up to 8 rows of 4), a dependent row planted in every third trial and
