@@ -1,16 +1,16 @@
 """Matrices over Q, Q(t) and F_p(t) as integer matrices at t = 2^B.
 
 A matrix whose entries are polynomials (over Q, constants) has an integer
-form ``(P, D, norm, deg)``: integer polynomial rows P and one integer
-denominator D > 0 with M = P / D and gcd(D, every coefficient of P) = 1,
-so that equal matrices have equal forms (FLINT's ``fmpq_mat`` holds a
-rational matrix the same way).  ``norm`` is the largest l1 norm and
-``deg`` the largest degree of an entry of P.  Over F_p(t), D = 1 and the
-coefficients are residues in [0, p).  A matrix's form is cached in
-``Matrix._fastrep`` (``rep``).  A result of ``apply`` or ``product`` holds
-only ``(P, D)`` there until ``rep`` first uses it as an input and adds its
-norm and degree; a result that is only compared or decoded never pays for
-them.  Every other reader of the slot reads P and D alone.
+form (``Form``): integer polynomial rows P and one integer denominator
+D > 0 with M = P / D and gcd(D, every coefficient of P) = 1, so that equal
+matrices have equal forms (FLINT's ``fmpq_mat`` holds a rational matrix the
+same way).  Over F_p(t), D = 1 and the coefficients are residues in
+[0, p).  A matrix's form is cached in ``Matrix._fastrep`` (``rep``).  When
+the form is first used as an input it also gets the largest l1 norm and
+degree of an entry of P, and each ``apply`` keeps in it the values of P
+and of dP/dt at the last 2^B it used, so that a second derivation applied
+to the same matrix evaluates nothing again.  All of it dies with the
+matrix.
 
 Evaluating an integer polynomial at t = 2^B packs it into one Python int,
 one B-bit slot per coefficient (Kronecker substitution).  When every
@@ -19,21 +19,33 @@ back into it, slot by slot, with signed slots.  Sums and products of
 polynomials are then sums and products of ints:
 
 * ``apply`` computes [A, x] + c dx/dt and ``product`` a product of two
-  matrices of any shapes from the values of their entries at 2^B; each
-  result entry is unpacked once and the result brought to its form once
-  (``_form``): divided by the gcd of D and its coefficients, or over F_p(t)
-  reduced mod p once per coefficient and trimmed;
+  matrices of any shapes from the values of their entries at 2^B.
+  ``apply`` rounds B up to a multiple of 8, so that one derivation meets
+  few widths, and its caller keeps A's values by width (at most two;
+  ``matrix.bracket_map`` keeps them per derivation);
 * ``int_rank`` evaluates the integer rows of a form at a 2^B where no
   nonzero minor vanishes, and takes the integer rank by Bareiss
   elimination.  It serves Q and Q(t) only: the integer rank of an F_p(t)
-  matrix is not its rank mod p.
+  matrix is not its rank mod p.  ``rank`` gives it a Q(t) matrix without
+  a form by clearing each row to polynomials first.
+
+A result of ``apply`` or ``product`` is held raw: the values V of its
+entries times D at 2^B, with D and B.  It is brought to its canonical form
+(``canonical``: each entry unpacked, then divided by the gcd of D and its
+coefficients, or over F_p(t) reduced mod p and trimmed) on the first read
+of its rows, rank or hash, or when it is first used as an input.  Two
+forms compare by one rule (``equal``): raw results with equal D, B and V
+are equal, and every other pair is compared canonical.  Unequal raw values
+never make two results unequal, since over F_p(t) V is an unreduced
+integer lift: over F_2(t), [E01, E10] = diag(1, -1) and [E10, E01] =
+diag(-1, 1) as integers, and both are I mod 2.
 
 ``Matrix`` wraps a result in a matrix that holds only its form; ``decode``
 gives its canonical rows when they are first read.  Over Q every polynomial
 has degree 0, so its value is its one coefficient and the same code works
 on plain integers.  Matrices with an entry that is not a polynomial have
-no form: ``apply`` returns None for them, and ``Matrix`` ranks them by
-its generic elimination.
+no form: ``apply`` returns None for them, and ``Matrix`` multiplies them
+by its generic field operations.
 """
 
 from __future__ import annotations
@@ -44,8 +56,8 @@ from operator import mul
 
 from .fields import PrimeField, Rationals, RationalFunctionField
 
-__all__ = ["handles", "ranks", "clear", "rep", "scale", "int_rank", "apply", "product",
-           "decode"]
+__all__ = ["Form", "handles", "ranks", "clear", "rep", "canonical", "equal", "scale",
+           "int_rank", "rank", "apply", "product", "decode"]
 
 
 def handles(field) -> bool:
@@ -65,11 +77,25 @@ def _modulus(field):
     return base.p if isinstance(base, PrimeField) else None
 
 
-def _finish(polys, den):
-    """The form ``(polys, den, norm, deg)``."""
-    norm = max([sum(map(abs, p)) for row in polys for p in row], default=0)
-    deg = max([len(p) for row in polys for p in row], default=1) - 1
-    return polys, den, norm, deg
+class Form:
+    """The integer form of one matrix.  ``polys`` and ``den`` are P and D,
+    None while the form is raw and ``raw`` is (D, B, V); ``norm`` and
+    ``deg`` are set when it is first an input, and ``values`` is
+    [B, rows, columns, dP/dt rows] of its values at 2^B, set by ``apply``."""
+
+    __slots__ = ("polys", "den", "raw", "norm", "deg", "values")
+
+    def __init__(self, polys=None, den=None, raw=None):
+        self.polys, self.den, self.raw = polys, den, raw
+        self.norm = self.deg = self.values = None
+
+
+def _measured(form):
+    """``form``, canonical, with its norm and degree."""
+    polys = form.polys
+    form.norm = max([sum(map(abs, p)) for row in polys for p in row], default=0)
+    form.deg = max([len(p) for row in polys for p in row], default=1) - 1
+    return form
 
 
 def clear(field, rows):
@@ -83,22 +109,21 @@ def clear(field, rows):
             return None
         coeffs = [[num for num, _ in row] for row in rows]
         if _modulus(field):
-            return _finish(coeffs, 1)
+            return _measured(Form(coeffs, 1))
     den = lcm(*[c.denominator for row in coeffs for p in row for c in p])
     polys = [[tuple([c.numerator * (den // c.denominator) for c in p]) for p in row]
              for row in coeffs]
-    return _finish(polys, den)
+    return _measured(Form(polys, den))
 
 
 def rep(m):
     """The integer form of the matrix ``m``, cached in ``m._fastrep``, or
-    False if an entry is not a polynomial.  A result of ``apply`` or
-    ``product`` holds only ``(P, D)`` until it is first used as an input."""
+    False if an entry is not a polynomial; a raw result is made canonical."""
     r = m._fastrep
     if r is None:
         r = m._fastrep = clear(m.field, m.rows) or False
-    elif r and len(r) == 2:
-        r = m._fastrep = _finish(*r)
+    elif r and r.norm is None:
+        _measured(canonical(m.field, r))
     return r
 
 
@@ -106,7 +131,7 @@ def scale(field, c):
     """``(poly, den, norm)`` of the field value ``c`` as a 1 x 1 form, the
     d/dt scale ``apply`` takes; None if ``c`` is not a polynomial."""
     r = clear(field, [[c]])
-    return None if r is None else (r[0][0][0], r[1], r[2])
+    return None if r is None else (r.polys[0][0], r.den, r.norm)
 
 
 def _at(poly, bits):
@@ -140,27 +165,45 @@ def _residues(poly, p):
     return tuple(out)
 
 
-def _form(field, vals, ncols, den, bits):
-    """``(P, D)`` of the matrix, ``ncols`` entries a row, whose entries
-    times ``den`` have the values ``vals`` at 2^bits, row-major."""
+def canonical(field, form):
+    """``form`` with its canonical P and D, made from its raw values (rows
+    V at 2^B of the entries times D) if it is raw."""
+    if form.polys is not None:
+        return form
+    den, bits, vals = form.raw
     if isinstance(field, Rationals):
-        polys = [(v,) if v else () for v in vals]
+        polys = [[(v,) if v else () for v in row] for row in vals]
     else:
-        polys = [tuple(_unpack(v, bits)) for v in vals]
+        polys = [[tuple(_unpack(v, bits)) for v in row] for row in vals]
         p = _modulus(field)
         if p:
-            polys = [_residues(poly, p) for poly in polys]
+            polys = [[_residues(poly, p) for poly in row] for row in polys]
     if den > 1:
-        g = gcd(den, *[c for poly in polys for c in poly])
+        g = gcd(den, *[c for row in polys for poly in row for c in poly])
         if g > 1:
-            polys = [tuple([c // g for c in poly]) for poly in polys]
+            polys = [[tuple([c // g for c in poly]) for poly in row] for row in polys]
             den //= g
-    return [polys[i:i + ncols] for i in range(0, len(polys), ncols)], den
+    form.polys, form.den, form.raw = polys, den, None
+    return form
+
+
+def equal(field, r, s):
+    """Whether ``r`` and ``s`` are forms of one matrix over ``field``: yes
+    if both are raw with equal D, B and V, else compared canonical."""
+    if r.raw is not None and s.raw is not None:
+        return r.raw == s.raw or _equal_canonical(field, r, s)
+    return _equal_canonical(field, r, s)
+
+
+def _equal_canonical(field, r, s):
+    r, s = canonical(field, r), canonical(field, s)
+    return r.den == s.den and r.polys == s.polys
 
 
 def decode(field, form):
     """The canonical rows of the matrix with integer form ``form``."""
-    polys, den = form[0], form[1]
+    form = canonical(field, form)
+    polys, den = form.polys, form.den
     zero = field.zero
     if isinstance(field, Rationals):
         return tuple([tuple([Fraction(p[0], den) if p else zero for p in row])
@@ -229,49 +272,84 @@ def int_rank(polys) -> int:
     return _bareiss_rank([[_at(p, bits) for p in row] for row in polys])
 
 
+def _cleared(field, row):
+    """``row`` of Q(t) values times the lcm of their denominators, by field
+    operations: each entry's leftover denominator is multiplied in."""
+    one = field._one_poly
+    m = field.one
+    for e in row:
+        d = field.mul(m, e)[1]
+        if d != one:
+            m = field.mul(m, field.from_poly(d))
+    return [field.mul(m, e) for e in row]
+
+
+def rank(m) -> int:
+    """Rank of the Q or Q(t) matrix ``m``: the integer rank of its form, or,
+    when an entry is not a polynomial, of its rows each cleared to
+    polynomials, which scales every row by a nonzero value."""
+    r = rep(m)
+    if not r:
+        r = clear(m.field, [_cleared(m.field, row) for row in m.rows])
+    return int_rank(r.polys)
+
+
 # ---------------------------------------------------------------------------
 # products and [A, x] + c dx/dt
 # ---------------------------------------------------------------------------
 
 def product(field, ra, rb):
-    """``(P, D)`` of the product of the matrices with forms ``ra`` and ``rb``
-    (any compatible shapes)."""
-    pa, da, na, _ = ra
-    pb, db, nb, _ = rb
+    """The raw form of the product of the matrices with forms ``ra`` and
+    ``rb`` (any compatible shapes)."""
     # each coefficient of an entry of PA PB is a sum of len(pb) products of
     # coefficients, so at most len(pb) na nb: 2^(bits-1) is above it
-    bits = (len(pb) * na * nb).bit_length() + 1
-    A = [[_at(p, bits) for p in row] for row in pa]
+    pb = rb.polys
+    bits = (len(pb) * ra.norm * rb.norm).bit_length() + 1
     cols = list(zip(*[[_at(p, bits) for p in row] for row in pb]))
-    vals = [sum(map(mul, ai, bj)) for ai in A for bj in cols]
-    return _form(field, vals, len(cols), da * db, bits)
+    vals = [[sum(map(mul, ai, bj)) for bj in cols]
+            for ai in [[_at(p, bits) for p in row] for row in ra.polys]]
+    return Form(raw=(ra.den * rb.den, bits, vals))
 
 
-def apply(a, x, dt=None):
-    """``(P, D)`` of A x - x A + c dx/dt for matrices ``a`` and ``x`` over
+def apply(a, x, dt, memo):
+    """The raw form of A x - x A + c dx/dt for matrices ``a`` and ``x`` over
     Q, Q(t) or F_p(t), with ``dt`` the ``scale`` of c (None for no d/dt
-    term); None when an entry of ``a`` or ``x`` is not a polynomial."""
+    term); None when an entry of ``a`` or ``x`` is not a polynomial.
+    ``memo`` keeps A's values by width, at most two widths, for the next
+    call with the same A and ``dt``."""
     ra, rx = rep(a), rep(x)
     if not ra or not rx:
         return None
-    pa, da, na, _ = ra
-    px, dx, nx, degx = rx
-    n = len(pa)
+    n = len(ra.polys)
     pc, dc, nc = dt or ((), 1, 0)
     # the result is (dc (PA PX - PX PA) + da PC PX') / (da dx dc).  A product
     # of integer polynomials f g has coefficients at most |f|_1 |g|_1, and
     # |PX'|_1 <= degx |PX|_1, so every coefficient of the numerator is at
     # most ``bound``; 2^(bits-1) > bound makes each entry unpack exactly
-    bound = dc * 2 * n * na * nx + da * nc * degx * nx
-    bits = bound.bit_length() + 1
-    A = [[_at(p, bits) for p in row] for row in pa]
-    X = [[_at(p, bits) for p in row] for row in px]
-    a_cols = list(zip(*A))
-    x_cols = list(zip(*X))
-    vals = [sum(map(mul, ai, xc)) - sum(map(mul, xi, ac))
-            for ai, xi in zip(A, X) for xc, ac in zip(x_cols, a_cols)]
+    nx = rx.norm
+    bound = dc * 2 * n * ra.norm * nx + ra.den * nc * rx.deg * nx
+    bits = (bound.bit_length() + 8) & -8
+    av = memo.get(bits)
+    if av is None:
+        if len(memo) > 1:
+            del memo[next(iter(memo))]
+        # one flat tuple a width: a derivation may be kept long after use
+        av = memo[bits] = (tuple([_at(p, bits) for row in ra.polys for p in row]),
+                           ra.den * _at(pc, bits))
+    xv = rx.values
+    if xv is None or xv[0] != bits:
+        X = [[_at(p, bits) for p in row] for row in rx.polys]
+        xv = rx.values = [bits, X, list(zip(*X)), None]
+    flat, c = av
+    A = [flat[i:i + n] for i in range(0, n * n, n)]
+    a_cols = [flat[j::n] for j in range(n)]
+    X, x_cols = xv[1], xv[2]
+    vals = [[sum(map(mul, ai, xc)) - sum(map(mul, xi, ac)) for xc, ac in zip(x_cols, a_cols)]
+            for ai, xi in zip(A, X)]
     if pc:
-        c = da * _at(pc, bits)
-        vals = [dc * v + c * _at([e * k for e, k in enumerate(p)][1:], bits)
-                for v, p in zip(vals, [p for row in px for p in row])]
-    return _form(a.field, vals, n, da * dx * dc, bits)
+        dx = xv[3]
+        if dx is None:
+            dx = xv[3] = [[_at([e * k for e, k in enumerate(p)][1:], bits) for p in row]
+                          for row in rx.polys]
+        vals = [[dc * v + c * w for v, w in zip(row, drow)] for row, drow in zip(vals, dx)]
+    return Form(raw=(ra.den * rx.den * dc, bits, vals))

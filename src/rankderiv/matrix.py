@@ -34,17 +34,13 @@ prime-field matrices, and the odd-p rank normal form and every nullspace,
 use the generic elimination below with ``PrimeField`` operations.
 
 Over Q, Q(t) and F_p(t) a matrix with polynomial entries has an integer
-form P / D (``_kronecker``), cached in ``_fastrep``.  Products over these
-fields and ``bracket_map``'s bracket are computed on integers at
-t = 2^B and return a ``_FormMatrix``, which holds only the form: it
-decodes its canonical rows when they are first read, two of them compare
-their forms as ints, and each hashes its decoded rows.
-Over Q and Q(t) the rank is the integer rank at t = 2^B; over F_p(t) that
-is not the rank mod p, and the rank stays generic.  A matrix without an
-integer form takes the generic path everywhere, its rank included.  A
-matrix only ever meets the fast paths of its own field, so the slot holds
-one kind of value per field.  Other fields, and the rank normal form and
-nullspace over Q, Q(t) and F_p(t), use the generic elimination below: one
+form (``_kronecker``, which states how it is held, read and compared),
+cached in ``_fastrep``; products and ``bracket_map``'s bracket return a
+``_FormMatrix``, which holds only the form.  The rank over Q and Q(t) is
+an integer rank; over F_p(t) it is generic.  A matrix only ever meets the
+fast paths of its own field, so the slot holds one kind of value per
+field.  Other fields, and the rank normal form and nullspace over Q, Q(t)
+and F_p(t), use the generic elimination below: one
 forward pass, ``_echelon``, whose steps give the rank, the reduced echelon
 form (normalized and back-substituted) and the rank normal form.  Every
 path has the same pivoting rule (first nonzero entry in column order), so
@@ -119,13 +115,13 @@ class Matrix:
         return self
 
     @classmethod
-    def _from_form(cls, field: Field, form) -> "Matrix":
-        """Internal constructor from an integer form (``_kronecker``): a
+    def _from_form(cls, field: Field, n, form) -> "Matrix":
+        """Internal constructor from an n x n integer form (``_kronecker``): a
         ``_FormMatrix``, whose rows are decoded when first read."""
         self = object.__new__(_FormMatrix)
         _ROWS.__set__(self, None)
         self.field = field
-        self.n = len(form[0])
+        self.n = n
         self._rank = None
         self._rnf = None
         self._fastrep = form
@@ -258,7 +254,7 @@ class Matrix:
         if _kronecker.handles(f):
             ra, rb = _kronecker.rep(self), _kronecker.rep(other)
             if ra and rb:
-                return Matrix._from_form(f, _kronecker.product(f, ra, rb))
+                return Matrix._from_form(f, self.n, _kronecker.product(f, ra, rb))
         return Matrix._raw(f, _gen_mul(self.rows, other.rows, f))
 
     def __neg__(self):
@@ -280,9 +276,8 @@ class Matrix:
             sp = self._space()
             if sp is not None:
                 self._rank = sp.rank(self._packed_rows(sp))
-            elif _kronecker.ranks(self.field) and _kronecker.rep(self):
-                # ``rep`` caches the integer form in ``_fastrep``
-                self._rank = _kronecker.int_rank(self._fastrep[0])
+            elif _kronecker.ranks(self.field):
+                self._rank = _kronecker.rank(self)
             else:
                 self._rank = _gen_rank(self.rows, self.field)
         return self._rank
@@ -352,10 +347,10 @@ _ROWS = Matrix.rows    # the slot that a _FormMatrix fills on first read, None u
 
 
 class _FormMatrix(Matrix):
-    """A matrix held as its integer form P / D (``_kronecker``) in
-    ``_fastrep``; its canonical rows are decoded (``_decode``) when first
-    read.  Two such matrices compare their forms, which are unique; ``hash``
-    decodes the rows, as the matrix built from them hashes them.  The lazy
+    """A matrix held as its integer form (``_kronecker``) in ``_fastrep``;
+    its canonical rows are decoded (``_decode``) when first read.  Two such
+    matrices compare forms by ``_kronecker.equal``; ``hash`` decodes the
+    rows, as the matrix built from them hashes them.  The lazy
     rows live here, not in a ``__getattr__`` on ``Matrix``, which would slow
     every attribute read of every matrix; ``_KeyMatrix`` shares them."""
 
@@ -374,9 +369,8 @@ class _FormMatrix(Matrix):
 
     def __eq__(self, other):
         if other.__class__ is _FormMatrix:
-            r, s = self._fastrep, other._fastrep
-            return (r[1] == s[1] and r[0] == s[0]
-                    and (other.field is self.field or other.field == self.field))
+            return ((other.field is self.field or other.field == self.field)
+                    and _kronecker.equal(self.field, self._fastrep, other._fastrep))
         return Matrix.__eq__(self, other)
 
     __hash__ = Matrix.__hash__    # defining __eq__ would clear it
@@ -468,9 +462,10 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
       holds only that (``_KeyMatrix``).
     * Over Q, Q(t) and F_p(t), when every entry of A and x is a
       polynomial, [A, x] is computed on integers at t = 2^B
-      (``_kronecker``) and held as its integer form.  When mu is c d/dt
+      (``_kronecker``) and held as its raw integer form.  When mu is c d/dt
       with c a polynomial, c is cleared once, here, and c dx/dt is folded
-      into the same integers.
+      into the same integers.  A's values at 2^B are kept here too, for at
+      most two widths B.
     * Every other bracket is ``product_sum(A, x, x, -A)``: over a packed
       prime field one pass with one reduction per row.  -A is made when a
       bracket first needs it.
@@ -495,12 +490,13 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
 
     if _kronecker.handles(f):
         dt = _kronecker.scale(f, mu.scale) if mu.kind == "dt" else None
+        memo = {}    # A's values at 2^B, by B
 
         def apply(x):
-            form = _kronecker.apply(a, x, dt)
+            form = _kronecker.apply(a, x, dt, memo)
             if form is None:
                 return plus_mu(generic(x), x)
-            out = Matrix._from_form(f, form)
+            out = Matrix._from_form(f, a.n, form)
             # a folded c d/dt is in the form already
             return out if dt is not None else plus_mu(out, x)
         return apply
@@ -877,7 +873,7 @@ def random_rank_k(n: int, k: int, field: Field, seed: int) -> Matrix:
         v = [[field.random_element(rng) for _ in range(n)] for _ in range(k)]
         if kron:
             ru, rv = _kronecker.clear(field, u), _kronecker.clear(field, v)
-            if _kronecker.int_rank(ru[0]) == k and _kronecker.int_rank(rv[0]) == k:
-                return Matrix._from_form(field, _kronecker.product(field, ru, rv))
+            if _kronecker.int_rank(ru.polys) == k and _kronecker.int_rank(rv.polys) == k:
+                return Matrix._from_form(field, n, _kronecker.product(field, ru, rv))
         elif _gen_rank(u, field) == k and _gen_rank(v, field) == k:
             return Matrix._raw(field, _gen_mul(u, v, field))

@@ -190,7 +190,7 @@ def _examples(name):
 def _form_rank(field, rows):
     """The integer rank of the form of polynomial ``rows``: what
     ``Matrix.rank`` takes over Q and Q(t) when a matrix has a form."""
-    return _kronecker.int_rank(_kronecker.clear(field, rows)[0])
+    return _kronecker.int_rank(_kronecker.clear(field, rows).polys)
 
 
 def _rank(field, rows):
@@ -347,8 +347,8 @@ def test_apply_zero_entries_and_degree_zero():
 def test_representation_is_cached_and_refuses_denominators():
     x = Matrix._raw(QT, [[QT.from_poly([Fraction(1, 2), Fraction(-3, 4)])]])
     r = _kronecker.rep(x)
-    assert r == ([[(2, -3)]], 4, 5, 1)
-    assert x._fastrep is r
+    assert _whole(r) == ([[(2, -3)]], 4, 5, 1)
+    assert x._fastrep is r and r.raw is None
     y = Matrix._raw(QT, [[QT.inv(T)]])
     assert _kronecker.rep(y) is False
 
@@ -370,22 +370,30 @@ def _perturbed(field, rows):
     return out
 
 
+def _whole(form):
+    """What an input's form holds besides its values: P, D, norm and degree."""
+    return form.polys, form.den, form.norm, form.deg
+
+
 def _check_form(field, got, want):
-    """``got``, a matrix held as its integer form, against the rows ``want``."""
+    """``got``, a matrix held as its raw integer form, against the rows ``want``."""
     assert got.__class__ is _FormMatrix
     built = Matrix._raw(field, want)
-    twin = Matrix._from_form(field, _kronecker.rep(built))
-    # the form is the canonical one, as ``clear`` makes it from the rows;
-    # its norm and degree are added when it is first used as an input
-    assert got._fastrep == twin._fastrep[:2]
-    assert _kronecker.rep(got) == twin._fastrep
+    twin = Matrix._from_form(field, built.n, _kronecker.rep(built))
+    # the raw form's canonical form is the one ``clear`` makes from the
+    # rows; its norm and degree are added when it is first used as an input
+    form = got._fastrep
+    assert form.raw is not None and form.polys is None
+    assert _kronecker.canonical(field, form) is form and form.raw is None
+    assert _whole(form) == _whole(twin._fastrep)[:2] + (None, None)
+    assert _whole(_kronecker.rep(got)) == _whole(twin._fastrep)
     assert got == twin and twin == got and not got != twin
     assert hash(got) == hash(built) == hash(twin)
     assert got == built and built == got
     assert not got != built and not built != got
     assert got.rows == want
     other = Matrix._raw(field, _perturbed(field, want))
-    other_form = Matrix._from_form(field, _kronecker.rep(other))
+    other_form = Matrix._from_form(field, other.n, _kronecker.rep(other))
     for m in (other, other_form):
         assert got != m and m != got
         assert not got == m and not m == got
@@ -414,7 +422,7 @@ def test_integer_form_products(spec):
         form = _kronecker.product(field, _kronecker.clear(field, a_rows),
                                   _kronecker.clear(field, b_rows))
         assert _kronecker.decode(field, form) == want
-        assert form == _kronecker.clear(field, want)[:2]
+        assert _whole(form)[:2] == _whole(_kronecker.clear(field, want))[:2]
     for (a_rows, b_rows), _ in _examples(f"form_bracket|{spec}"):
         a, b = Matrix._raw(field, a_rows), Matrix._raw(field, b_rows)
         _check_form(field, a * b, tuple(map(tuple, _gen_mul(a_rows, b_rows, field))))
@@ -438,6 +446,151 @@ def test_integer_form_refuses_non_polynomial_entries(spec):
             polynomial = scale is not frac and all(
                 e[1] == field.one[1] for row in a + x for e in row)
             assert (got.__class__ is _FormMatrix) == polynomial
+
+
+def _derivation(field, a_rows, scale):
+    mu = (FieldDerivation.zero(field) if scale is None
+          else FieldDerivation.scaled_dt(field, scale))
+    return CanonicalDerivation(Matrix._raw(field, a_rows), mu)
+
+
+def _raw_bracket(d, x_rows):
+    """D(x) for a fresh x with rows ``x_rows``, checked to be held raw."""
+    got = apply_derivation(d, Matrix._raw(d.field, x_rows))
+    assert got._fastrep.raw is not None
+    return got
+
+
+def test_raw_brackets_equal_mod_p():
+    f2t = parse_field("F2(t)")
+    e01, e10 = Matrix.unit(f2t, 2, 0, 1), Matrix.unit(f2t, 2, 1, 0)
+    r = apply_derivation(CanonicalDerivation(e01), e10)
+    s = apply_derivation(CanonicalDerivation(e10), e01)
+    # as integers diag(1, -1) and diag(-1, 1): equal D and B, unequal V
+    assert r._fastrep.raw[:2] == s._fastrep.raw[:2]
+    assert r._fastrep.raw[2] == [[1, 0], [0, -1]]
+    assert s._fastrep.raw[2] == [[-1, 0], [0, 1]]
+    assert r == s and s == r and not r != s
+    one = Matrix.identity(f2t, 2)
+    assert r == one and one == r and hash(r) == hash(s) == hash(one)
+
+
+@pytest.mark.parametrize("spec", FORM_SPECS)
+def test_raw_result_equals_its_canonical_form_and_rows(spec):
+    field = parse_field(spec)
+    for (a_rows, x_rows), scale in _examples(f"form_bracket|{spec}"):
+        d = _derivation(field, a_rows, scale)
+        want = _reference(field, d.A.rows, x_rows, d.mu)
+        built = Matrix(field, want)
+        canon = Matrix._from_form(field, built.n, _kronecker.clear(field, want))
+        other = Matrix(field, _perturbed(field, want))
+        # every comparison gets a raw result of its own: a comparison that
+        # canonicalizes its operands leaves them canonical
+        for m in (built, canon):
+            assert _raw_bracket(d, x_rows) == m and m == _raw_bracket(d, x_rows)
+            assert not _raw_bracket(d, x_rows) != m and not m != _raw_bracket(d, x_rows)
+        assert _raw_bracket(d, x_rows) == _raw_bracket(d, x_rows)
+        assert hash(_raw_bracket(d, x_rows)) == hash(built) == hash(canon)
+        assert _raw_bracket(d, x_rows) != other and other != _raw_bracket(d, x_rows)
+
+
+def test_raw_results_with_different_den_or_width():
+    """[A, x + k I] + mu(x + k I) = [A, x] + mu(x) for a constant k, which
+    changes D (k = 1/101) or B (k = 2^200, 2^300 / 103); k e_01 changes the
+    matrix."""
+    n = 3
+    eye, e01 = Matrix.identity(QT, n), Matrix.unit(QT, n, 0, 1)
+    ks = [QT.from_poly([c]) for c in (Fraction(1, 101), 2 ** 200, Fraction(2 ** 300, 103))]
+    unequal = 0
+    for i in range(20):
+        rng = random.Random(f"test_kronecker|den_or_width|{i}")
+        a_rows, x_rows = _rows(rng, _small_poly, n, n), _rows(rng, _small_poly, n, n)
+        d = _derivation(QT, a_rows, _one_of(_none, _nonzero(_small_poly))(rng))
+        x = Matrix._raw(QT, x_rows)
+        want = _reference(QT, d.A.rows, x_rows, d.mu)
+        for k in ks:
+            same, moved = (x + eye.scaled(k)).rows, (x + e01.scaled(k)).rows
+            r, s = _raw_bracket(d, x_rows), _raw_bracket(d, same)
+            assert r._fastrep.raw[:2] != s._fastrep.raw[:2]
+            assert r == s and s == r
+            r, s = _raw_bracket(d, x_rows), _raw_bracket(d, moved)
+            equal = want == _reference(QT, d.A.rows, moved, d.mu)
+            assert (r == s) == (s == r) == equal
+            unequal += not equal
+    assert unequal > 40
+
+
+def _closure(fn, name):
+    return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
+
+
+def test_a_memo_holds_at_most_two_widths():
+    n = 2
+    rng = random.Random("test_kronecker|memo")
+    d = _derivation(QT, _rows(rng, _poly, n, n), _nonzero(_poly)(rng))
+    memo = _closure(d._apply, "memo")
+    widths = set()
+    for _ in range(240):
+        x_rows = _rows(rng, _one_of(_poly, _zero_qt), n, n)
+        got = _raw_bracket(d, x_rows)
+        widths.add(got._fastrep.raw[1])
+        assert 1 <= len(memo) <= 2 and all(b % 8 == 0 for b in memo)
+        assert got.rows == _reference(QT, d.A.rows, x_rows, d.mu)
+    # the points meet more widths than the memo holds
+    assert len(widths) > 4
+
+
+@pytest.mark.parametrize("spec", ["Q(t)", "F3(t)"])
+def test_values_are_kept_with_x(spec, monkeypatch):
+    """A second derivation applied to the same x evaluates only its own A
+    (n^2 entries and c); the same derivation again evaluates nothing."""
+    field = parse_field(spec)
+    calls = []
+    at = _kronecker._at
+    monkeypatch.setattr(_kronecker, "_at", lambda poly, bits: calls.append(1) or at(poly, bits))
+    for (a_rows, x_rows), scale in _examples(f"form_bracket|{spec}")[:20]:
+        d = _derivation(field, a_rows, scale)
+        x = Matrix._raw(field, x_rows)
+        first = apply_derivation(d, x)
+        twin = CanonicalDerivation(d.A, d.mu)
+        del calls[:]
+        second = apply_derivation(twin, x)
+        assert len(calls) == len(a_rows) ** 2 + 1
+        del calls[:]
+        third = apply_derivation(twin, x)
+        assert calls == []
+        assert first == second == third
+        assert third.rows == _reference(field, d.A.rows, x_rows, d.mu)
+
+
+def _ratio(rng):
+    return QT.div(_nonzero(_small_poly)(rng), _nonzero(_small_poly)(rng))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_rank_without_integer_form(n, monkeypatch):
+    """Rational-function rows, some planted as combinations of others, are
+    ranked as ``_gen_rank`` ranks them, without the generic elimination."""
+    # entries mix polynomials and ratios: ratios alone make the reference
+    # take seconds a matrix at n = 5
+    entry = _one_of(_small_poly, _ratio)
+    cases = []
+    rng = random.Random(f"test_kronecker|rank_without_form|{n}")
+    while len(cases) < 6:
+        base = _rows(rng, entry, rng.randint(1, n - 1), n)
+        rows = list(base)
+        while len(rows) < n:
+            weights = [entry(rng) for _ in base]
+            rows.insert(rng.randint(0, len(rows)), _combine(QT, base, weights))
+        if _kronecker.clear(QT, rows) is None:
+            cases.append((rows, _gen_rank(rows, QT)))
+    assert {rank for _, rank in cases} != {n}
+
+    def refuse(rows, field):
+        raise AssertionError("the generic elimination ranked a Q(t) matrix")
+    monkeypatch.setattr("rankderiv.matrix._echelon", refuse)
+    for rows, rank in cases:
+        assert Matrix._raw(QT, rows).rank() == rank
 
 
 @pytest.mark.parametrize("spec", ["Q", "Q(t)"])
