@@ -50,7 +50,7 @@ most 2 n bits, and an F_2 space that interns its rows has n <= 12.  Over
 an odd p a slot of [A, x] = A x + x (-A) is at most n (p-1) (p-1) +
 n (p-1) p, the bound of ``mul2`` that ``fits`` imposes, and one of
 A B + C D at most 2 n (p-1)^2.  The bracket's result is its key as it
-stands (``matrix._KeyMatrix``); ``unkey`` decodes rows or packed rows
+stands (``matrix.Matrix._held``); ``unkey`` decodes rows or packed rows
 when they are read.  The tables live as long as their owner: the map
 that made them (``matrix.bracket_map``), with at most n p^n entries
 (49,152 at F_2, n = 12), or the exhaustive domain (``matrix.RankDomain``).

@@ -116,7 +116,8 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
         if w[0]:
             return _case_one(P, Q, s, kept)
         block = sp.decode(kernel[:s] + [0] * (n - s))[0]
-        x2 = Matrix._from_packed(field, sp.mul(block, Q._packed_rows(sp)))
+        rows, packed = sp.mul(block, Q._packed_rows(sp))
+        x2 = Matrix._raw(field, rows, packed)
         return _case_two(P, x2, s)
     wt = list(islice(zip(*(Q * R).rows), s))
     if any(row[0] != field.zero for row in wt):

@@ -11,32 +11,22 @@ bracket), ``masked`` (the factor masks) and ``RankDomain`` (the keys of
 the exhaustive pair loops); ``factor.py``'s F_2 branch of
 ``adapted_factor`` alone works on packed rows itself.
 
-Prime-field matrices are packed when their (p, n) allows it (``_packed``):
-each row is also held as one Python int with entry j in byte j, cached in
-``_fastrep`` on first use.  Over F_2 sums and products are XORs of selected
-rows and the rank and rank normal form use XOR elimination; the rank normal
-form's P and Q come with their packed rows, and ``masked`` makes the
-factors from them with a byte mask or zeroed rows, so they are never
-packed again.  Over an odd p byte-wise sums are reduced mod p once per
-result row.  ``product_sum`` forms a b + c d, the right side of the
-product rule, in one such pass.  These results hold their rows.  Where
-the packed space interns its rows, the bracket with a fixed A
-(``bracket_map``) and the products of the exhaustive pair loops
-(``RankDomain``) read tables of their fixed factor (M4RI's "method of the
-Four Russians": Albrecht, Bard and Hart, ACM TOMS 2010), which sum to the
-whole-matrix key of ``_packed``.  The bracket returns a ``_KeyMatrix``,
-which holds only that key: two of them compare keys, and the rows and
-packed rows are decoded from the key when first read.  Packing needs
-every unreduced byte sum to stay below 256.  The largest one is that of
-a b + c d, n (p-1) (2p-1), so F_2 packs at every n, F_3 up to n = 25,
-F_5 up to n = 7 and F_7 up to n = 3.  Other
+Prime-field matrices are packed when their (p, n) allows it (``_packed``,
+which states the slot bound, the row interning and the fixed-factor
+tables): each row is also held as one Python int, cached in ``_fastrep``
+on first use.  Sums, products, the rank and the F_2 rank normal form work
+on packed rows; ``product_sum`` forms a b + c d, the right side of the
+product rule, in one pass, and ``masked`` makes factors from packed rows,
+so they are never packed again.  Where the space interns its rows,
+``bracket_map`` and ``RankDomain`` read tables of their fixed factor, and
+a bracket is held as its whole-matrix key (``_held``).  Other
 prime-field matrices, and the odd-p rank normal form and every nullspace,
 use the generic elimination below with ``PrimeField`` operations.
 
 Over Q, Q(t) and F_p(t) a matrix with polynomial entries has an integer
 form (``_kronecker``, which states how it is held, read and compared),
 cached in ``_fastrep``; products and ``bracket_map``'s bracket return a
-``_FormMatrix``, which holds only the form.  The rank over Q and Q(t) is
+matrix that holds only the form (``_held``).  The rank over Q and Q(t) is
 an integer rank; over F_p(t) it is generic.  A matrix only ever meets the
 fast paths of its own field, so the slot holds one kind of value per
 field.  Other fields, and the rank normal form and nullspace over Q, Q(t)
@@ -92,55 +82,34 @@ class Matrix:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def _raw(cls, field: Field, rows) -> "Matrix":
-        """Internal constructor: entries already canonical, no validation."""
+    def _raw(cls, field: Field, rows, packed=None) -> "Matrix":
+        """Internal constructor: entries already canonical, no validation.
+        A tuple of row tuples, as every packed operation returns, is kept as
+        it stands; ``packed``: the packed rows, when the operation has them."""
         self = object.__new__(cls)
         self.field = field
         self.n = len(rows)
-        self.rows = tuple(map(tuple, rows))
+        self.rows = rows if rows.__class__ is tuple else tuple(map(tuple, rows))
         self._rank = None
         self._rnf = None
-        self._fastrep = None
+        self._fastrep = packed
         return self
 
     @classmethod
-    def _from_packed(cls, field: Field, result) -> "Matrix":
-        """Internal constructor from a packed operation's ``(rows, packed)``."""
-        self = object.__new__(cls)
-        self.field = field
-        self.rows, self._fastrep = result
-        self.n = len(self.rows)
-        self._rank = None
-        self._rnf = None
-        return self
-
-    @classmethod
-    def _from_form(cls, field: Field, n, form) -> "Matrix":
-        """Internal constructor from an n x n integer form (``_kronecker``): a
-        ``_FormMatrix``, whose rows are decoded when first read."""
-        self = object.__new__(_FormMatrix)
+    def _held(cls, field: Field, n, form, sp=None, key=None) -> "Matrix":
+        """Internal constructor of a ``_HeldMatrix``: from an n x n integer
+        form (``_kronecker``), or from the whole-matrix key
+        (``_packed.Space.key``) in the packed space ``sp``, which interns its
+        rows, with ``form`` None.  Its rows are decoded when first read."""
+        self = object.__new__(_HeldMatrix)
         _ROWS.__set__(self, None)
         self.field = field
         self.n = n
-        self._rank = None
-        self._rnf = None
-        self._fastrep = form
-        return self
-
-    @classmethod
-    def _from_key(cls, field: Field, sp, key) -> "Matrix":
-        """Internal constructor from the whole-matrix key (``_packed.Space.key``)
-        in the packed space ``sp``, which interns its rows: a ``_KeyMatrix``,
-        whose rows and packed rows are decoded when first read."""
-        self = object.__new__(_KeyMatrix)
-        _ROWS.__set__(self, None)
-        self.field = field
-        self.n = sp.n
         self._sp = sp
         self._key = key
         self._rank = None
         self._rnf = None
-        self._fastrep = None
+        self._fastrep = form
         return self
 
     @classmethod
@@ -186,9 +155,17 @@ class Matrix:
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return (isinstance(other, Matrix)
-                and (other.field is self.field or other.field == self.field)
-                and other.rows == self.rows)
+        if not (isinstance(other, Matrix)
+                and (other.field is self.field or other.field == self.field)):
+            return False
+        if self.__class__ is _HeldMatrix and other.__class__ is _HeldMatrix:
+            # one field holds one kind: a form over Q, Q(t) and F_p(t), a key
+            # over F_p.  Keys are unique within one ring, and the F_2 zero
+            # matrices of every n have key 0
+            if self._sp is None:
+                return _kronecker.equal(self.field, self._fastrep, other._fastrep)
+            return self._key == other._key and other.n == self.n
+        return other.rows == self.rows
 
     def __hash__(self):
         return hash((self.field, self.rows))
@@ -225,8 +202,8 @@ class Matrix:
         f = self.field
         sp = self._space()
         if sp is not None:
-            return Matrix._from_packed(f, sp.add(self._packed_rows(sp),
-                                                  other._packed_rows(sp)))
+            rows, packed = sp.add(self._packed_rows(sp), other._packed_rows(sp))
+            return Matrix._raw(f, rows, packed)
         return Matrix._raw(f, [
             [f.add(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.rows, other.rows)
@@ -237,8 +214,8 @@ class Matrix:
         f = self.field
         sp = self._space()
         if sp is not None:
-            return Matrix._from_packed(f, sp.sub(self._packed_rows(sp),
-                                                  other._packed_rows(sp)))
+            rows, packed = sp.sub(self._packed_rows(sp), other._packed_rows(sp))
+            return Matrix._raw(f, rows, packed)
         return Matrix._raw(f, [
             [f.sub(a, b) for a, b in zip(ra, rb)]
             for ra, rb in zip(self.rows, other.rows)
@@ -250,11 +227,12 @@ class Matrix:
         sp = self._space()
         if sp is not None:
             self._packed_rows(sp)   # checks the entries ``mul`` reads unpacked
-            return Matrix._from_packed(f, sp.mul(self.rows, other._packed_rows(sp)))
+            rows, packed = sp.mul(self.rows, other._packed_rows(sp))
+            return Matrix._raw(f, rows, packed)
         if _kronecker.handles(f):
             ra, rb = _kronecker.rep(self), _kronecker.rep(other)
             if ra and rb:
-                return Matrix._from_form(f, self.n, _kronecker.product(f, ra, rb))
+                return Matrix._held(f, self.n, _kronecker.product(f, ra, rb))
         return Matrix._raw(f, _gen_mul(self.rows, other.rows, f))
 
     def __neg__(self):
@@ -288,8 +266,8 @@ class Matrix:
             f = self.field
             sp = self._space()
             if sp is not None and sp.p == 2:
-                P, k, Q = sp.rnf2(self._packed_rows(sp))
-                P, Q = Matrix._from_packed(f, P), Matrix._from_packed(f, Q)
+                (P, pp), k, (Q, qp) = sp.rnf2(self._packed_rows(sp))
+                P, Q = Matrix._raw(f, P, pp), Matrix._raw(f, Q, qp)
             else:
                 P, k, Q = _gen_rnf(self.rows, f)
                 P, Q = Matrix._raw(f, P), Matrix._raw(f, Q)
@@ -343,65 +321,35 @@ class Matrix:
         return cls._raw(field, rows)
 
 
-_ROWS = Matrix.rows    # the slot that a _FormMatrix fills on first read, None until then
+_ROWS = Matrix.rows    # the slot that a _HeldMatrix fills on first read, None until then
 
 
-class _FormMatrix(Matrix):
-    """A matrix held as its integer form (``_kronecker``) in ``_fastrep``;
-    its canonical rows are decoded (``_decode``) when first read.  Two such
-    matrices compare forms by ``_kronecker.equal``; ``hash`` decodes the
-    rows, as the matrix built from them hashes them.  The lazy
-    rows live here, not in a ``__getattr__`` on ``Matrix``, which would slow
-    every attribute read of every matrix; ``_KeyMatrix`` shares them."""
+class _HeldMatrix(Matrix):
+    """A matrix held as its integer form (``_kronecker``) in ``_fastrep``, or
+    as its whole-matrix key (``_packed.Space.key``) in ``_key`` with its
+    packed space in ``_sp``; its rows, and a key's packed rows in
+    ``_fastrep``, are decoded when first read.  ``hash`` decodes the rows,
+    as the matrix built from them hashes them.  The lazy rows live here,
+    not in a ``__getattr__`` on ``Matrix``, which would slow every
+    attribute read of every matrix."""
 
-    __slots__ = ()
+    __slots__ = ("_sp", "_key")
 
     @property
     def rows(self):
         rows = _ROWS.__get__(self)
         if rows is None:
-            rows = self._decode()
+            sp = self._sp
+            rows = (_kronecker.decode(self.field, self._fastrep) if sp is None
+                    else sp.unkey(self._key))
             _ROWS.__set__(self, rows)
         return rows
-
-    def _decode(self):
-        return _kronecker.decode(self.field, self._fastrep)
-
-    def __eq__(self, other):
-        if other.__class__ is _FormMatrix:
-            return ((other.field is self.field or other.field == self.field)
-                    and _kronecker.equal(self.field, self._fastrep, other._fastrep))
-        return Matrix.__eq__(self, other)
-
-    __hash__ = Matrix.__hash__    # defining __eq__ would clear it
-
-
-class _KeyMatrix(_FormMatrix):
-    """A prime-field matrix held as its whole-matrix key (``_packed.Space.key``)
-    in ``_key`` and its packed space in ``_sp``, with ``_FormMatrix``'s lazy
-    rows: its rows, and its packed rows in ``_fastrep``, are decoded from the
-    key when first read.  Two such matrices compare their keys, which are
-    unique within one ring; the ring is compared too, since the F_2 zero
-    matrices of every n have key 0."""
-
-    __slots__ = ("_sp", "_key")
-
-    def _decode(self):
-        return self._sp.unkey(self._key)
 
     def _packed_rows(self, sp) -> tuple:
         rep = self._fastrep
         if rep is None:
             rep = self._fastrep = self._sp.unkey(self._key, packed=True)
         return rep
-
-    def __eq__(self, other):
-        if other.__class__ is _KeyMatrix:
-            return (self._key == other._key and other.n == self.n
-                    and (other.field is self.field or other.field == self.field))
-        return Matrix.__eq__(self, other)
-
-    __hash__ = Matrix.__hash__    # defining __eq__ would clear it
 
 
 @dataclass(frozen=True)
@@ -442,8 +390,8 @@ def product_sum(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     # packing checks the entries ``mul2`` reads unpacked
     a._packed_rows(sp)
     c._packed_rows(sp)
-    return Matrix._from_packed(a.field, sp.mul2(a.rows, b._packed_rows(sp),
-                                                c.rows, d._packed_rows(sp)))
+    rows, packed = sp.mul2(a.rows, b._packed_rows(sp), c.rows, d._packed_rows(sp))
+    return Matrix._raw(a.field, rows, packed)
 
 
 def bracket_map(a: Matrix, mu: FieldDerivation):
@@ -459,7 +407,7 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
       die with it.  An entry costs about one row of ``product_sum``'s pass,
       so the tables pay off as rows recur among the matrices one map
       brackets.  The sum is the whole-matrix key of [A, x], and the result
-      holds only that (``_KeyMatrix``).
+      holds only that (``_held``).
     * Over Q, Q(t) and F_p(t), when every entry of A and x is a
       polynomial, [A, x] is computed on integers at t = 2^B
       (``_kronecker``) and held as its raw integer form.  When mu is c d/dt
@@ -474,7 +422,7 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
     bracket.  An A or x whose entries are not canonical residues is refused
     when it is bracketed, as every packed operation refuses it.
     """
-    f = a.field
+    f, n = a.field, a.n
     minus = None    # -A, once a bracket needs it
 
     def generic(x):
@@ -496,7 +444,7 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
             form = _kronecker.apply(a, x, dt, memo)
             if form is None:
                 return plus_mu(generic(x), x)
-            out = Matrix._from_form(f, a.n, form)
+            out = Matrix._held(f, n, form)
             # a folded c d/dt is in the form already
             return out if dt is not None else plus_mu(out, x)
         return apply
@@ -506,7 +454,7 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
         return lambda x: plus_mu(generic(x), x)
 
     def keyed(x):
-        return Matrix._from_key(f, sp, sp.product_key(x._packed_rows(sp), tables))
+        return Matrix._held(f, n, None, sp, sp.product_key(x._packed_rows(sp), tables))
     if not mu.is_zero():
         return lambda x: plus_mu(keyed(x), x)
     return keyed
@@ -525,7 +473,8 @@ def masked(m: Matrix, rows=None, cols=None) -> Matrix:
             packed = tuple([r & mask for r in packed])
         if rows is not None:
             packed = tuple([r if i in rows else 0 for i, r in enumerate(packed)])
-        return Matrix._from_packed(m.field, sp.decode(packed))
+        out, packed = sp.decode(packed)
+        return Matrix._raw(m.field, out, packed)
     z = m.field.zero
     out = m.rows
     if cols is not None:
@@ -768,7 +717,7 @@ class RankDomain:
         self.matrices = [m for k in ranks for m in enumerate_rank_k(n, k, field)]
         sp = _packed.space(field.p, n)
         if sp is None or sp.intern is None:
-            self._space = None
+            self._space = self._rows = self._tables = None
             self.index = {m.rows: i for i, m in enumerate(self.matrices)}
             return
         self._space = sp
@@ -796,15 +745,14 @@ class RankDomain:
         at a, b and k when ``holds`` is called, and each value is keyed once.
 
         A values[k] that is no canonical matrix of the ring fails the rule.
-        A values[a] or values[b] that is none goes through ``product_sum``,
-        which refuses it as ``Matrix`` arithmetic does (UsageError).  A value
-        held as its key (``bracket_map``) is keyed by that key as it stands,
-        and its packed rows are read off it.
+        A values[a] or values[b] that is none, and every value where the
+        domain has no keyed space, goes through ``product_sum``, which
+        refuses a foreign value as ``Matrix`` arithmetic does (UsageError).
+        A value held as its key (``bracket_map``) is keyed by that key as it
+        stands, and its packed rows are read off it.
         """
         m = self.matrices
         sp = self._space
-        if sp is None:
-            return lambda a, b, k: values[k] == product_sum(values[a], m[b], m[a], values[b])
         n, field = self.n, self.field
         rows, tables = self._rows, self._tables
         lhs = [None] * len(m)      # key of values[k]
@@ -816,7 +764,7 @@ class RankDomain:
                     and (v.field is field or v.field == field))
 
         def packed(v):
-            if not ring(v):
+            if sp is None or not ring(v):
                 return _FOREIGN
             try:
                 return v._packed_rows(sp)
@@ -824,7 +772,7 @@ class RankDomain:
                 return _FOREIGN
 
         def key(v):
-            if v.__class__ is _KeyMatrix and ring(v):
+            if v.__class__ is _HeldMatrix and ring(v):
                 return v._key
             rows = packed(v)
             return rows if rows is _FOREIGN else sp.key(rows)
@@ -874,6 +822,6 @@ def random_rank_k(n: int, k: int, field: Field, seed: int) -> Matrix:
         if kron:
             ru, rv = _kronecker.clear(field, u), _kronecker.clear(field, v)
             if _kronecker.int_rank(ru.polys) == k and _kronecker.int_rank(rv.polys) == k:
-                return Matrix._from_form(field, n, _kronecker.product(field, ru, rv))
+                return Matrix._held(field, n, _kronecker.product(field, ru, rv))
         elif _gen_rank(u, field) == k and _gen_rank(v, field) == k:
             return Matrix._raw(field, _gen_mul(u, v, field))

@@ -16,7 +16,7 @@ import pytest
 from rankderiv import (CanonicalDerivation, FieldDerivation, Matrix, apply_derivation,
                        parse_field)
 from rankderiv import _kronecker
-from rankderiv.matrix import _FormMatrix, _gen_mul, _gen_rank, random_rank_k
+from rankderiv.matrix import _HeldMatrix, _gen_mul, _gen_rank, random_rank_k
 
 Q = parse_field("Q")
 QT = parse_field("Q(t)")
@@ -377,9 +377,9 @@ def _whole(form):
 
 def _check_form(field, got, want):
     """``got``, a matrix held as its raw integer form, against the rows ``want``."""
-    assert got.__class__ is _FormMatrix
+    assert got.__class__ is _HeldMatrix and got._sp is None
     built = Matrix._raw(field, want)
-    twin = Matrix._from_form(field, built.n, _kronecker.rep(built))
+    twin = Matrix._held(field, built.n, _kronecker.rep(built))
     # the raw form's canonical form is the one ``clear`` makes from the
     # rows; its norm and degree are added when it is first used as an input
     form = got._fastrep
@@ -393,7 +393,7 @@ def _check_form(field, got, want):
     assert not got != built and not built != got
     assert got.rows == want
     other = Matrix._raw(field, _perturbed(field, want))
-    other_form = Matrix._from_form(field, other.n, _kronecker.rep(other))
+    other_form = Matrix._held(field, other.n, _kronecker.rep(other))
     for m in (other, other_form):
         assert got != m and m != got
         assert not got == m and not m == got
@@ -445,7 +445,7 @@ def test_integer_form_refuses_non_polynomial_entries(spec):
             assert got.rows == _reference(field, d.A.rows, xm.rows, mu)
             polynomial = scale is not frac and all(
                 e[1] == field.one[1] for row in a + x for e in row)
-            assert (got.__class__ is _FormMatrix) == polynomial
+            assert (got.__class__ is _HeldMatrix and got._sp is None) == polynomial
 
 
 def _derivation(field, a_rows, scale):
@@ -482,7 +482,7 @@ def test_raw_result_equals_its_canonical_form_and_rows(spec):
         d = _derivation(field, a_rows, scale)
         want = _reference(field, d.A.rows, x_rows, d.mu)
         built = Matrix(field, want)
-        canon = Matrix._from_form(field, built.n, _kronecker.clear(field, want))
+        canon = Matrix._held(field, built.n, _kronecker.clear(field, want))
         other = Matrix(field, _perturbed(field, want))
         # every comparison gets a raw result of its own: a comparison that
         # canonicalizes its operands leaves them canonical
@@ -599,7 +599,7 @@ def test_random_rank_k_rows(spec):
     for n, k in ((2, 1), (3, 2), (4, 2), (4, 4)):
         for seed in range(5):
             m = random_rank_k(n, k, field, seed=seed)
-            assert m.__class__ is _FormMatrix
+            assert m.__class__ is _HeldMatrix and m._sp is None
             assert m.rank() == _gen_rank(m.rows, field) == k
             assert m.rows == Matrix(field, m.rows).rows
 

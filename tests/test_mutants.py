@@ -51,9 +51,11 @@ MUTANTS = [
      "tests/test_derivations.py::test_apply_adds_table_or_probed_mu_after_the_bracket"),
     ("matrix.py", "    if not mu.is_zero():", "    if False:",
      "tests/test_derivations.py::test_apply_adds_table_or_probed_mu_after_the_bracket"),
-    ("matrix.py", "            return (self._key == other._key and other.n == self.n",
-     "            return (self._key == other._key",
+    ("matrix.py", "            return self._key == other._key and other.n == self.n",
+     "            return self._key == other._key",
      "tests/test_packed.py::test_key_held_brackets_of_other_rings_differ"),
+    ("matrix.py", "            if self._sp is None:", "            if False:",
+     "tests/test_kronecker.py::test_integer_form_bracket"),
     ("_packed.py", "            mask = (1 << 8 * n) - 1", "            mask = (1 << 8 * n + 8) - 1",
      "tests/test_packed.py::test_key_held_brackets_match_rows_held"),
     ("_packed.py", "        raw = [key[k:k + n] for k in range(0, n * n, n)]",

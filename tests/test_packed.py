@@ -30,7 +30,7 @@ from rankderiv import (
 )
 from rankderiv import _kernels_py as lists
 from rankderiv import _packed
-from rankderiv.matrix import _KeyMatrix, _echelon, masked, product_sum
+from rankderiv.matrix import _HeldMatrix, _echelon, masked, product_sum
 
 
 def _rows(m):
@@ -358,7 +358,7 @@ def test_fixed_a_bracket_tables(p, n, monkeypatch):
         # the intern bound the result holds only the key, and its rows and
         # packed rows are decoded from it independently
         sp = _packed.space(p, n)
-        assert (got.__class__ is _KeyMatrix) == tables
+        assert (got.__class__ is _HeldMatrix and got._sp is sp) == tables
         want = sp.pack(got.rows)
         assert got._packed_rows(sp) == want
         assert getattr(got, "_key", sp.key(want)) == sp.key(want)
@@ -428,7 +428,7 @@ def test_key_held_brackets_match_rows_held(p, n):
            lambda u, y: masked(u, cols=range(0, n, 2)),
            lambda u, y: masked(u, rows=range(n - 1), cols=range(1, n))]
     for i, (want, k) in enumerate(zip(refs, keyed)):
-        assert k.__class__ is _KeyMatrix
+        assert k.__class__ is _HeldMatrix and k._sp is _packed.space(p, n)
         assert k.rows == want
         for u, v in ((fresh(i), held(want)), (held(want), fresh(i)), (fresh(i), fresh(i))):
             assert u == v and v == u and not u != v and not v != u
@@ -454,15 +454,24 @@ def test_key_held_brackets_match_rows_held(p, n):
 
 def test_key_held_brackets_of_other_rings_differ():
     # the F_2 zero matrices of every n have key 0, and the zero matrices of
-    # F_3 and F_5 at one n the same bytes, so the ring is compared as well
+    # F_3 and F_5 at one n the same bytes, so the ring is compared as well;
+    # the form-held zeros of Q, Q(t) and F_2(t) meet the key-held ones in
+    # both orders
     zeros = []
     for p, n in ((2, 2), (2, 4), (2, 12), (3, 4), (5, 4), (3, 7)):
         field = parse_field(f"F{p}")
         z = apply_derivation(CanonicalDerivation.random(field, n, seed=3),
                              Matrix.zero(field, n))
-        assert z.__class__ is _KeyMatrix
+        assert z.__class__ is _HeldMatrix and z._sp is _packed.space(p, n)
         zeros.append((z, Matrix.zero(field, n)))
-    for i, (z, _) in enumerate(zeros):
+    for spec in ("Q", "Q(t)", "F2(t)"):
+        field = parse_field(spec)
+        z = apply_derivation(CanonicalDerivation.random(field, 2, seed=3),
+                             Matrix.zero(field, 2))
+        assert z.__class__ is _HeldMatrix and z._sp is None
+        zeros.append((z, Matrix.zero(field, 2)))
+    for i, (z, zero) in enumerate(zeros):
+        assert hash(z) == hash(zero)
         for j, (w, r) in enumerate(zeros):
             for u, v in ((z, w), (w, z), (z, r), (r, z)):
                 assert (u == v) == (i == j) and (u != v) == (i != j)
