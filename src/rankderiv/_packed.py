@@ -162,13 +162,6 @@ class Space:
             return self._bits(packed), packed
         return self._reduce([x + y for x, y in zip(a, b)])
 
-    def sub(self, a, b):
-        if self.p == 2:
-            return self.add(a, b)
-        # p - y is in [1, p] in every slot, so nothing borrows
-        pones = self.p * self.ones
-        return self._reduce([x + pones - y for x, y in zip(a, b)])
-
     def mul(self, a_rows, b):
         """Product of the matrix with rows ``a_rows`` and packed rows ``b``."""
         if self.p == 2:
@@ -178,8 +171,8 @@ class Space:
 
     def neg(self, packed):
         """Packed rows of -M with every slot p - v in [1, p], so nothing
-        borrows; over F_2 -M is M.  Only the bracket tables' -A
-        (``bracket_rows``) holds such slots; ``mul2``'s d may too."""
+        borrows; over F_2 -M is M.  ``add`` and ``mul2``'s d take such
+        slots, and the bracket tables' -A (``bracket_rows``) holds them."""
         if self.p == 2:
             return packed
         pones = self.p * self.ones

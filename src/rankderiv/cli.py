@@ -51,11 +51,11 @@ def _read(cls, path: str, args):
     optional --field and --n."""
     obj = cls.from_text(Path(path).read_text())
     expected_field = getattr(args, "field", None)
-    if expected_field and parse_field(expected_field) != obj.field:
+    if expected_field is not None and parse_field(expected_field) != obj.field:
         raise UsageError(
             f"--field {expected_field} does not match file field {obj.field.spec()}")
     expected_n = getattr(args, "n", None)
-    if expected_n and expected_n != obj.n:
+    if expected_n is not None and expected_n != obj.n:
         raise UsageError(f"--n {expected_n} does not match file dimension {obj.n}")
     return obj
 
@@ -161,7 +161,7 @@ def _cmd_extend(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     delta = _read(DeltaMap, args.delta, args)
-    report = reconstruct_full(delta, delta.n, count=args.count, seed=args.seed)
+    report = reconstruct_full(delta, count=args.count, seed=args.seed)
     d = report.derivation
     if args.porcelain:
         print(f"A={_pm(d.A)}")
@@ -224,8 +224,7 @@ def _cmd_count(args) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sp, *, field=False, n=False, s=False, k=False,
-                porcelain=True):
+def _add_common(sp, *, field=False, n=False, s=False, k=False):
     if field:
         sp.add_argument("--field", help="field spec: Q, F<p>, Q(t), F<p>(t)")
     if n:
@@ -234,9 +233,8 @@ def _add_common(sp, *, field=False, n=False, s=False, k=False,
         sp.add_argument("--s", type=int, required=True, help="target rank s")
     if k:
         sp.add_argument("--k", type=int, required=True, help="rank k")
-    if porcelain:
-        sp.add_argument("--porcelain", action="store_true",
-                        help="machine-readable key=value output")
+    sp.add_argument("--porcelain", action="store_true",
+                    help="machine-readable key=value output")
 
 
 def build_parser() -> argparse.ArgumentParser:

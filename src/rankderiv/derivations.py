@@ -6,9 +6,9 @@ A ``CanonicalDerivation`` is a pair (A, mu): the map
 matrix-to-matrix assignment with a declared domain (full ring, rank <= s,
 rank exactly s, or the sparse cover-rank union); evaluating outside the
 domain raises DomainError.  A table's keys are checked against its domain
-once, when the table is stored (the constructor, ``from_table``,
-``from_text``, ``override``), so a lookup that finds its key computes no
-rank; extension keys its table on the matrices it enumerates, unchecked.
+once, when the table is stored (``from_table``, ``from_text``,
+``override``), so a lookup that finds its key computes no rank; extension
+keys its table on the matrices it enumerates, unchecked.
 Over a finite field ``from_text`` also refuses a table that leaves out a
 matrix of its domain.
 
@@ -222,41 +222,37 @@ class DeltaMap:
 
     __slots__ = ("n", "field", "domain", "_fn", "_table")
 
-    def __init__(self, n, field, domain, fn=None, table=None):
-        """``table``: mapping of input rows to output Matrix, every input in
-        ``domain`` (UsageError otherwise)."""
-        if table is not None:
-            table = _checked_table(domain, ((Matrix._raw(field, key), v)
-                                            for key, v in table.items()))
+    def __init__(self, n, field, domain, fn):
         self.n = n
         self.field = field
         self.domain = domain
         self._fn = fn
-        self._table = table
+        self._table = None
 
     @classmethod
     def _stored(cls, n, field, domain, table) -> "DeltaMap":
         """A table map whose keys the caller has checked against ``domain``,
         so that no key is ranked twice."""
-        self = object.__new__(cls)
-        self.n = n
-        self.field = field
-        self.domain = domain
-        self._fn = None
+        self = cls(n, field, domain, None)
         self._table = table
         return self
 
     @classmethod
     def from_function(cls, n: int, field: Field, domain: DeltaDomain, fn) -> "DeltaMap":
-        return cls(n, field, domain, fn=fn)
+        return cls(n, field, domain, fn)
 
     @classmethod
     def from_table(cls, n: int, field: Field, domain: DeltaDomain,
                    entries) -> "DeltaMap":
         """``entries``: mapping or iterable of (input Matrix, output Matrix),
         every input in ``domain`` (UsageError otherwise)."""
-        items = entries.items() if hasattr(entries, "items") else entries
-        return cls._stored(n, field, domain, _checked_table(domain, items))
+        table = {}
+        for x, v in entries.items() if hasattr(entries, "items") else entries:
+            if not domain.contains(x):
+                raise UsageError(f"delta table key [{x.encode()}] lies outside "
+                                 f"domain {domain.token()}")
+            table[x.rows] = v
+        return cls._stored(n, field, domain, table)
 
     @property
     def is_table(self) -> bool:
@@ -296,7 +292,7 @@ class DeltaMap:
             return DeltaMap._stored(self.n, self.field, self.domain, table)
         inner = self._fn
         return DeltaMap(self.n, self.field, self.domain,
-                        fn=lambda m: value if m.rows == key else inner(m))
+                        lambda m: value if m.rows == key else inner(m))
 
     def __eq__(self, other):
         if not isinstance(other, DeltaMap):
@@ -380,18 +376,6 @@ class DeltaMap:
         return cls._stored(n, fld, domain, table)
 
 
-def _checked_table(domain: DeltaDomain, items) -> dict:
-    """The table of (input Matrix, output Matrix) pairs keyed on the input's
-    rows; UsageError at the first input outside ``domain``."""
-    table = {}
-    for x, v in items:
-        if not domain.contains(x):
-            raise UsageError(f"delta table key [{x.encode()}] lies outside "
-                             f"domain {domain.token()}")
-        table[x.rows] = v
-    return table
-
-
 def derivation_delta(D: CanonicalDerivation,
                      domain: DeltaDomain | None = None) -> DeltaMap:
     """The DeltaMap evaluating ``apply_derivation(D, .)`` on ``domain``
@@ -458,7 +442,8 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
                       pairs: str = "rank-s") -> HypothesisReport:
     """Check the product rule over pairs of rank-s matrices.
 
-    ``mode``: "exhaustive" (finite fields) or "sampled" (requires a seed).
+    ``mode``: "exhaustive" (finite fields) or "sampled" (``count`` >= 1
+    pairs; requires a seed).
     ``pairs``: "rank-s" checks rank-s against rank-s; the optional "mixed"
     mode instead checks rank <= 1 against rank <= s in both orders (a
     consequence for genuine derivation data, re-verified rather than
@@ -511,6 +496,8 @@ def verify_hypothesis(delta: DeltaMap, s: int, mode: str = "exhaustive",
         raise UsageError(f"unknown verification mode {mode!r}")
     if seed is None:
         raise UsageError("sampled verification requires a seed")
+    if count < 1:
+        raise UsageError(f"sampled verification needs a count >= 1, got {count}")
     rng = random.Random(f"rankderiv.verify|{fld.spec()}|{n}|{s}|{pairs}|{seed}")
     checked = 0
     for _ in range(count):
@@ -708,19 +695,17 @@ class ReconstructionReport:
                 f"{list(self.gap_ranks)}: {len(self.failures)} failure(s), {status}")
 
 
-def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
+def reconstruct_full(delta: DeltaMap, count: int = 1000,
                      seed: int | None = None) -> ReconstructionReport:
     """Extract a derivation from delta at the minimum cover rank, then check
     delta against it on the full ring: gap ranks additionally get the
     product-rule factorization check delta(z) = delta(z1) z2 + z1 delta(z2).
 
     Exhaustive over finite fields (refused with ResourceLimitError, before
-    extracting, above ``VERIFY_GUARD`` matrices); sampled (``count``
-    points, seed required, refused before extracting without one)
-    otherwise.  ``probes`` go to ``extract_derivation``, which needs none."""
-    if delta.n != n:
-        raise UsageError(f"delta is over n={delta.n}, not n={n}")
-    fld = delta.field
+    extracting, above ``VERIFY_GUARD`` matrices); sampled otherwise, at
+    ``count`` >= 1 points with a seed, refused before extracting without
+    them."""
+    n, fld = delta.n, delta.field
     ranks = rank_set(n)
     s_min = ranks[-1]
     if s_min < 1:
@@ -732,7 +717,9 @@ def reconstruct_full(delta: DeltaMap, n: int, probes=(), count: int = 1000,
               "exhaustive reconstruction")
     elif seed is None:
         raise UsageError("sampled reconstruction requires a seed")
-    derivation = extract_derivation(delta, s_min, probes=probes)
+    elif count < 1:
+        raise UsageError(f"sampled reconstruction needs a count >= 1, got {count}")
+    derivation = extract_derivation(delta, s_min)
     member = set(ranks)
     gaps = tuple(k for k in range(s_min + 1, n)
                  if k not in member)

@@ -92,7 +92,7 @@ def adapted_factor(x: Matrix, y: Matrix, s: int) -> AdaptedFactorization:
     """Factor the rank-1 matrix x as x1 * x2 (both rank s) adapted to the
     rank-s matrix y: in case-I the product x2 * y keeps rank s, in case-II
     it is zero."""
-    x._require_compatible(y)
+    x._check(y)
     n = x.n
     if not (1 <= s and 2 * s <= n):
         raise PreconditionError(f"need 1 <= s <= n/2, got s={s}, n={n}")

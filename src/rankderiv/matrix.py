@@ -114,13 +114,11 @@ class Matrix:
 
     @classmethod
     def zero(cls, field: Field, n: int) -> "Matrix":
-        z = field.zero
-        return cls._raw(field, [[z] * n for _ in range(n)])
+        return cls.diag_ones(field, n, ())
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls._raw(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.diag_ones(field, n, range(n))
 
     @classmethod
     def unit(cls, field: Field, n: int, i: int, j: int) -> "Matrix":
@@ -140,15 +138,6 @@ class Matrix:
         return cls._raw(field, rows)
 
     # -- plumbing ------------------------------------------------------------
-
-    def _require_compatible(self, other: "Matrix"):
-        if not isinstance(other, Matrix):
-            raise UsageError(f"expected a Matrix, got {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError(
-                f"field mismatch: {self.field.spec()} vs {other.field.spec()}")
-        if other.n != self.n:
-            raise UsageError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def __getitem__(self, ij):
         i, j = ij
@@ -180,10 +169,18 @@ class Matrix:
     # -- ring arithmetic -----------------------------------------------------
 
     def _check(self, other):
+        """UsageError unless ``other`` is a matrix of this one's ring."""
         # identity check first: the common case shares one Field instance
-        if (other.__class__ is not Matrix or other.field is not self.field
-                or other.n != self.n):
-            self._require_compatible(other)
+        if (other.__class__ is Matrix and other.field is self.field
+                and other.n == self.n):
+            return
+        if not isinstance(other, Matrix):
+            raise UsageError(f"expected a Matrix, got {type(other).__name__}")
+        if other.field != self.field:
+            raise UsageError(
+                f"field mismatch: {self.field.spec()} vs {other.field.spec()}")
+        if other.n != self.n:
+            raise UsageError(f"dimension mismatch: {self.n} vs {other.n}")
 
     def _space(self):
         """The packed space of this matrix's ring, or None (see ``_packed``)."""
@@ -198,28 +195,24 @@ class Matrix:
         return rep
 
     def __add__(self, other):
-        self._check(other)
-        f = self.field
-        sp = self._space()
-        if sp is not None:
-            rows, packed = sp.add(self._packed_rows(sp), other._packed_rows(sp))
-            return Matrix._raw(f, rows, packed)
-        return Matrix._raw(f, [
-            [f.add(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ])
+        return self._sum(other, False)
 
     def __sub__(self, other):
+        return self._sum(other, True)
+
+    def _sum(self, other, minus):
+        """self + other, or with ``minus`` self - other: packed, the sum with
+        other's slots negated (``_packed.Space.neg``)."""
         self._check(other)
         f = self.field
         sp = self._space()
         if sp is not None:
-            rows, packed = sp.sub(self._packed_rows(sp), other._packed_rows(sp))
+            b = other._packed_rows(sp)
+            rows, packed = sp.add(self._packed_rows(sp), sp.neg(b) if minus else b)
             return Matrix._raw(f, rows, packed)
-        return Matrix._raw(f, [
-            [f.sub(a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.rows, other.rows)
-        ])
+        op = f.sub if minus else f.add
+        return Matrix._raw(f, [[op(a, b) for a, b in zip(ra, rb)]
+                               for ra, rb in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
         self._check(other)
@@ -283,7 +276,8 @@ class Matrix:
     # -- text format ---------------------------------------------------------
 
     def encode(self) -> str:
-        """Single-line row-major canonical encoding (used as table keys)."""
+        """Single-line row-major canonical encoding, as the text formats
+        and messages write a matrix."""
         f = self.field
         return " ".join(f.format(e) for row in self.rows for e in row)
 

@@ -6,6 +6,8 @@ stream them); a failure shows up as an ordinary pytest failure.
 
 import random
 
+import pytest
+
 from rankderiv import (
     CanonicalDerivation,
     FieldDerivation,
@@ -22,6 +24,7 @@ from rankderiv import (
     make_delta,
     parse_field,
     random_rank_k,
+    rank_count_formula,
     rank_set,
     reconstruct_full,
     solution_space,
@@ -112,31 +115,62 @@ def test_criterion_3_nontrivial_mu():
     print("ACCEPTANCE 3 (nontrivial mu over Q(t), 4 configs x 10 scales): PASS")
 
 
+def _check_factorizations(field, n, ss):
+    """Criterion 4's checks on M_n(field) for each target rank s in ``ss``:
+    every ``factor_rank_s`` case and, where 2s <= n, every rank-1 x against
+    every rank-s y of ``adapted_factor``.  Returns how many pairs fell in
+    case-I and in case-II."""
+    by_rank = {k: list(enumerate_rank_k(n, k, field)) for k in range(max(ss) + 1)}
+    cases = {"case-I": 0, "case-II": 0}
+    for s in ss:
+        for k in range(max(0, 2 * s - n), s + 1):
+            for y in by_rank[k]:
+                fac = factor_rank_s(y, s)
+                assert fac.y1.rank() == s
+                assert fac.y2.rank() == s
+                assert fac.y1 * fac.y2 == y
+        if 2 * s > n:
+            continue
+        for x in by_rank[1]:
+            for y in by_rank[s]:
+                fac = adapted_factor(x, y, s)
+                assert fac.x1 * fac.x2 == x
+                assert fac.x1.rank() == s
+                assert fac.x2.rank() == s
+                prod_rank = (fac.x2 * y).rank()
+                if fac.case_tag == "case-I":
+                    assert prod_rank == s
+                else:
+                    assert prod_rank == 0
+                cases[fac.case_tag] += 1
+    return cases["case-I"], cases["case-II"]
+
+
 def test_criterion_4_factorizations_exhaustive():
     """Every factorization postcondition over F_2 up to n = 4."""
     field = parse_field("F2")
     for n in (2, 3, 4):
-        by_rank = {k: list(enumerate_rank_k(n, k, field)) for k in range(n + 1)}
-        for s in range(1, n + 1):
-            for k in range(max(0, 2 * s - n), s + 1):
-                for y in by_rank[k]:
-                    fac = factor_rank_s(y, s)
-                    assert fac.y1.rank() == s
-                    assert fac.y2.rank() == s
-                    assert fac.y1 * fac.y2 == y
-        for s in range(1, n // 2 + 1):
-            for x in by_rank[1]:
-                for y in by_rank[s]:
-                    fac = adapted_factor(x, y, s)
-                    assert fac.x1 * fac.x2 == x
-                    assert fac.x1.rank() == s
-                    assert fac.x2.rank() == s
-                    prod_rank = (fac.x2 * y).rank()
-                    if fac.case_tag == "case-I":
-                        assert prod_rank == s
-                    else:
-                        assert prod_rank == 0
+        _check_factorizations(field, n, range(1, n + 1))
     print("ACCEPTANCE 4 (factorizations exhaustive, F_2, n <= 4): PASS")
+
+
+@pytest.mark.parametrize("spec, n, cases", [
+    ("F5", 2, (17_280, 3_456)),
+    ("F7", 2, (129_024, 18_432)),
+    ("F3", 3, (79_092, 35_152)),
+], ids=["F5-2", "F7-2", "F3-3"])
+def test_factorization_lemmas_exhaustive_odd_p(spec, n, cases):
+    """Criterion 4's checks over odd p, where ``adapted_factor`` takes its
+    generic branch: both lemmas hold at every case, split between case-I
+    and case-II as pinned."""
+    assert _check_factorizations(parse_field(spec), n, range(1, n + 1)) == cases
+
+
+@pytest.mark.slow
+def test_factorization_lemmas_exhaustive_f3_n4_s1():
+    """The same at F_3, n = 4, s = 1: 3,200 x 3,200 adapted pairs, minutes."""
+    case_one, case_two = _check_factorizations(parse_field("F3"), 4, [1])
+    assert case_one + case_two == rank_count_formula(4, 1, 3) ** 2
 
 
 def test_criterion_5_cover_family_and_reconstruction():
@@ -152,11 +186,11 @@ def test_criterion_5_cover_family_and_reconstruction():
     field = parse_field("F2")
     d = CanonicalDerivation(Matrix.unit(field, 2, 0, 1))
     delta = make_delta(d)
-    report = reconstruct_full(delta, 2)
+    report = reconstruct_full(delta)
     assert report.passed and report.checked == 16
     z = Matrix(field, [[1, 1], [0, 0]])
     bad = delta.override(z, delta(z) + Matrix.identity(field, 2))
-    report = reconstruct_full(bad, 2)
+    report = reconstruct_full(bad)
     assert not report.passed
     assert any(w == z and r == 1 for w, r, _ in report.failures)
     print("ACCEPTANCE 5 (cover family n <= 128 + reconstruction witness): PASS")

@@ -202,6 +202,25 @@ def test_verify_sampled_needs_seed(capsys, ad_e12_full_file):
     assert "seed" in err
 
 
+def test_sampled_checks_refuse_a_count_below_one(capsys, ad_e12_full_file, tmp_path):
+    # a sampled check of no pairs or points checks nothing, so it is no pass
+    path = tmp_path / "zero_q.delta"
+    path.write_text("delta n 2 field Q domain full\n"
+                    "1 0 0 0 -> 0 0 0 0\n"
+                    "0 1 0 0 -> 0 0 0 0\n"
+                    "0 0 1 0 -> 0 0 0 0\n"
+                    "0 0 0 1 -> 0 0 0 0\n")
+    for count in ("0", "-5"):
+        code, out, err = run_cli(capsys, "verify", "--delta", ad_e12_full_file, "--s", "1",
+                                 "--mode", "sampled", "--seed", "1", "--count", count)
+        assert (code, out, err) == (
+            2, "", f"error: sampled verification needs a count >= 1, got {count}\n")
+        code, out, err = run_cli(capsys, "reconstruct", "--delta", str(path),
+                                 "--seed", "1", "--count", count)
+        assert (code, out, err) == (
+            2, "", f"error: sampled reconstruction needs a count >= 1, got {count}\n")
+
+
 def test_verify_mixed_pairs(capsys, ad_e12_full_file):
     code, out, _ = run_cli(capsys, "verify", "--delta", ad_e12_full_file,
                            "--s", "1", "--pairs", "mixed")
@@ -483,6 +502,10 @@ CLI_REFUSALS = {
                        r"--field F3 does not match file field F2"),
     "n-mismatch": (("factor", "--n", "3", "--s", "2", "--in", "{y}"), UsageError,
                    r"--n 3 does not match file dimension 4"),
+    "n-zero": (("factor", "--n", "0", "--s", "2", "--in", "{y}"), UsageError,
+               r"--n 0 does not match file dimension 4"),
+    "field-empty": (("factor", "--field", "", "--s", "2", "--in", "{y}"), UsageError,
+                    r"cannot parse field spec ''"),
     "sampled-without-seed": (("verify", "--delta", "{y}", "--s", "1", "--mode", "sampled"),
                              UsageError, r"sampled mode requires --seed"),
 }

@@ -226,13 +226,16 @@ def test_delta_from_table_refuses_keys_outside_domain(F2):
 
 
 def test_delta_map_constructor_refuses_keys_outside_domain(F2):
-    # a table handed to the constructor is checked like any other: a hit no
-    # longer ranks its argument, so an unchecked rank-2 key would be served
+    # the constructor takes no table: a table reaches a map only through
+    # ``from_table``, which checks it, since a hit no longer ranks its
+    # argument and an unchecked rank-2 key would be served
     one, zero = Matrix.identity(F2, 2), Matrix.zero(F2, 2)
-    with pytest.raises(UsageError, match=r"key \[1 0 0 1\] lies outside domain rank-leq\(1\)$"):
+    with pytest.raises(TypeError):
         DeltaMap(2, F2, DeltaDomain.rank_leq(1), table={one.rows: zero})
+    with pytest.raises(UsageError, match=r"key \[1 0 0 1\] lies outside domain rank-leq\(1\)$"):
+        DeltaMap.from_table(2, F2, DeltaDomain.rank_leq(1), {one: zero})
     e00 = Matrix.unit(F2, 2, 0, 0)
-    delta = DeltaMap(2, F2, DeltaDomain.rank_leq(1), table={e00.rows: one})
+    delta = DeltaMap.from_table(2, F2, DeltaDomain.rank_leq(1), {e00: one})
     assert delta(e00) == one
 
 
@@ -253,7 +256,7 @@ def test_delta_table_keys_checked_once(F2, monkeypatch):
     DeltaMap.from_table(2, F2, DeltaDomain.rank_leq(1), pairs)
     assert len(calls) == 10
     calls.clear()
-    DeltaMap(2, F2, DeltaDomain.rank_leq(1), table={x.rows: v for x, v in pairs})
+    DeltaMap.from_table(2, F2, DeltaDomain.rank_leq(1), dict(pairs))
     assert len(calls) == 10
 
 
@@ -1080,7 +1083,7 @@ def test_extract_preconditions(F2):
 
 def test_reconstruct_pass_n2(F2):
     d = CanonicalDerivation(Matrix.unit(F2, 2, 0, 1))
-    report = reconstruct_full(make_delta(d), 2)
+    report = reconstruct_full(make_delta(d))
     assert report.passed
     assert report.checked == 16
     assert report.gap_ranks == ()
@@ -1092,7 +1095,7 @@ def test_reconstruct_detects_perturbation(F2):
     delta = make_delta(d)
     z = Matrix(F2, [[1, 1], [0, 0]])  # rank 1, not probed by extraction
     bad = delta.override(z, delta(z) + Matrix.identity(F2, 2))
-    report = reconstruct_full(bad, 2)
+    report = reconstruct_full(bad)
     assert not report.passed
     witnesses = [m for m, _, _ in report.failures]
     assert z in witnesses
@@ -1101,7 +1104,7 @@ def test_reconstruct_detects_perturbation(F2):
 
 def test_reconstruct_gap_ranks_n4(F2):
     d = CanonicalDerivation.random(F2, 4, seed=15)
-    report = reconstruct_full(make_delta(d), 4)
+    report = reconstruct_full(make_delta(d))
     assert report.gap_ranks == (2,)
     assert report.passed
 
@@ -1110,7 +1113,7 @@ def test_reconstruct_flags_the_product_rule_at_a_gap_rank(F2):
     """A map wrong only at rank 2, the gap rank of n = 4, fails the
     product-rule check at every rank-2 matrix and nowhere else."""
     d = CanonicalDerivation.random(F2, 4, seed=15)
-    report = reconstruct_full(make_delta(d, garbage_ranks={2}, seed=24), 4)
+    report = reconstruct_full(make_delta(d, garbage_ranks={2}, seed=24))
     assert report.gap_ranks == (2,)
     assert report.derivation.A == d.A
     assert [(r, reason) for _, r, reason in report.failures] == [
@@ -1123,12 +1126,13 @@ def test_reconstruct_guard_refuses_before_enumerating(F2, no_enumeration):
     delta = DeltaMap.from_function(5, F2, DeltaDomain.full(), no_enumeration)
     with pytest.raises(ResourceLimitError,
                        match="33554432 matrices exceed the 1000000 exhaustive reconstruction guard"):
-        reconstruct_full(delta, 5)
+        reconstruct_full(delta)
 
 
 def test_reconstruct_refuses_missing_seed_before_extracting(Q):
-    """Over an infinite field reconstruction samples, which needs a seed;
-    without one it is refused before delta is evaluated at all."""
+    """Over an infinite field reconstruction samples, which needs a seed
+    and a count of at least 1; without them it is refused before delta is
+    evaluated at all."""
     d = CanonicalDerivation.random(Q, 2, seed=17)
     calls = []
 
@@ -1138,16 +1142,19 @@ def test_reconstruct_refuses_missing_seed_before_extracting(Q):
 
     delta = DeltaMap.from_function(2, Q, DeltaDomain.full(), fn)
     with pytest.raises(UsageError, match="sampled reconstruction requires a seed"):
-        reconstruct_full(delta, 2)
+        reconstruct_full(delta)
+    for count in (0, -5):
+        with pytest.raises(UsageError, match=f"^sampled reconstruction needs a count >= 1, got {count}$"):
+            reconstruct_full(delta, count=count, seed=1)
     assert calls == []
-    assert reconstruct_full(delta, 2, count=5, seed=1).passed
+    assert reconstruct_full(delta, count=5, seed=1).passed
     assert calls
 
 
 def test_reconstruct_rejects_degenerate_rank_set(F2):
     d = CanonicalDerivation.random(F2, 3, seed=16)
     with pytest.raises(PreconditionError, match="rank set"):
-        reconstruct_full(make_delta(d), 3)
+        reconstruct_full(make_delta(d))
 
 
 # -- refusals ----------------------------------------------------------------------
@@ -1198,8 +1205,15 @@ REFUSALS = {
     "extend-infinite": (lambda: extend_to_low_ranks(
         make_delta(CanonicalDerivation(Matrix.zero(_Q, 2))), s=1), UsageError,
         r"^extension tabulates the domain; needs a finite field$"),
-    "reconstruct-n": (lambda: reconstruct_full(make_delta(_E01), 3), UsageError,
-                      r"^delta is over n=2, not n=3$"),
+    "verify-count": (lambda: verify_hypothesis(make_delta(_E01), 1, mode="sampled", count=0,
+                                               seed=1),
+                     UsageError, r"^sampled verification needs a count >= 1, got 0$"),
+    "verify-count-negative": (lambda: verify_hypothesis(
+        make_delta(_E01), 1, mode="sampled", count=-5, seed=1, pairs="mixed"),
+        UsageError, r"^sampled verification needs a count >= 1, got -5$"),
+    "reconstruct-count": (lambda: reconstruct_full(
+        make_delta(CanonicalDerivation(Matrix.zero(_Q, 2))), count=0, seed=1), UsageError,
+        r"^sampled reconstruction needs a count >= 1, got 0$"),
 }
 
 

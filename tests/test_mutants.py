@@ -118,9 +118,15 @@ MUTANTS = [
      "tests/test_solver.py::test_solution_basis_bytes_pinned"),
     ("derivations.py", "            t = fld.gen", "            t = fld.one",
      "tests/test_derivations.py::test_extract_function_field_needs_no_probe"),
+    # the generic branch of adapted_factor, which every odd p takes
+    ("factor.py",
+     "    block = _gen_nullspace(wt, field)[:s] + [[field.zero] * n] * (n - s)",
+     "    block = _gen_nullspace(wt, field)[1:s + 1] + [[field.zero] * n] * (n - s)",
+     "tests/test_acceptance.py::test_factorization_lemmas_exhaustive_odd_p[F5-2]"),
     # one refusal per module, its condition inverted
-    ("cli.py", "    if expected_n and expected_n != obj.n:",
-     "    if expected_n and expected_n == obj.n:", "tests/test_cli.py::test_cli_refusals"),
+    ("cli.py", "    if expected_n is not None and expected_n != obj.n:",
+     "    if expected_n is not None and expected_n == obj.n:",
+     "tests/test_cli.py::test_cli_refusals"),
     ("derivations.py", "    if any(not 0 <= g <= n for g in garbage):",
      "    if any(0 <= g <= n for g in garbage):",
      "tests/test_derivations.py::test_derivation_refusals"),

@@ -1,9 +1,9 @@
 """Prime-field matrices against the reference list kernels.
 
-Every packed operation (add, sub, mul, the fused a b + c d of
-``product_sum``, which is also the bracket past the intern bound, the
-bracket by fixed-A row tables within it, rank, the F_2 rank normal form and
-the F_2 row dependencies) must give exactly what ``_kernels_py`` gives,
+Every packed operation (add, which with neg also subtracts, mul, the fused
+a b + c d of ``product_sum``, which is also the bracket past the intern
+bound, the bracket by fixed-A row tables within it, rank, the F_2 rank
+normal form and the F_2 row dependencies) must give exactly what ``_kernels_py`` gives,
 including the RNF transforms P and Q and their packed rows.  So must the
 generic elimination that serves the rest: the odd-p rank normal form, every
 nullspace and rref, square or rectangular, and every operation at a (p, n)
