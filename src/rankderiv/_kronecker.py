@@ -7,21 +7,24 @@ matrices have equal forms (FLINT's ``fmpq_mat`` holds a rational matrix the
 same way).  Over F_p(t), D = 1 and the coefficients are residues in
 [0, p).  A matrix's form is cached in ``Matrix._fastrep`` (``rep``).  When
 the form is first used as an input it also gets the largest l1 norm and
-degree of an entry of P, and each ``apply`` keeps in it the values of P
-and of dP/dt at the last 2^B it used, so that a second derivation applied
-to the same matrix evaluates nothing again.  All of it dies with the
-matrix.
+degree of an entry of P and the l1 norm of each row, and each ``apply``
+keeps in it the values and packed rows of P and the packed rows of dP/dt
+for the last (B, L) it used, so that a second derivation applied to the
+same matrix evaluates nothing again.  All of it dies with the matrix.
 
 Evaluating an integer polynomial at t = 2^B packs it into one Python int,
 one B-bit slot per coefficient (Kronecker substitution).  When every
 coefficient c of a polynomial has |c| < 2^(B-1), its value at 2^B unpacks
-back into it, slot by slot, with signed slots.  Sums and products of
-polynomials are then sums and products of ints:
+back into it, slot by slot, with signed slots.  A row packs the same way,
+L slots an entry with L above every entry's degree: entry j is slots L j
+to L j + L - 1.  Sums and products of polynomials are then sums and
+products of ints:
 
 * ``apply`` computes [A, x] + c dx/dt and ``product`` a product of two
-  matrices of any shapes from the values of their entries at 2^B.
-  ``apply`` rounds B up to a multiple of 8, so that one derivation meets
-  few widths, and its caller keeps A's values by width (at most two;
+  matrices of any shapes, each row of the result as a sum of entry values
+  times packed rows: n^2 int products for an n x n product.  ``apply``
+  rounds B up to a multiple of 8, so that one derivation meets few widths,
+  and its caller keeps A's values and packed rows by (B, L) (at most two;
   ``matrix.bracket_map`` keeps them per derivation);
 * ``int_rank`` evaluates the integer rows of a form at a 2^B where no
   nonzero minor vanishes, and takes the integer rank by Bareiss
@@ -29,16 +32,16 @@ polynomials are then sums and products of ints:
   matrix is not its rank mod p.  ``rank`` gives it a Q(t) matrix without
   a form by clearing each row to polynomials first.
 
-A result of ``apply`` or ``product`` is held raw: the values V of its
-entries times D at 2^B, with D and B.  It is brought to its canonical form
-(``canonical``: each entry unpacked, then divided by the gcd of D and its
-coefficients, or over F_p(t) reduced mod p and trimmed) on the first read
-of its rows, rank or hash, or when it is first used as an input.  Two
-forms compare by one rule (``equal``): raw results with equal D, B and V
-are equal, and every other pair is compared canonical.  Unequal raw values
-never make two results unequal, since over F_p(t) V is an unreduced
-integer lift: over F_2(t), [E01, E10] = diag(1, -1) and [E10, E01] =
-diag(-1, 1) as integers, and both are I mod 2.
+A result of ``apply`` or ``product`` is held raw: its rows times D packed
+at 2^B, with D, B, L and its column count.  It is brought to its
+canonical form (``canonical``: each row unpacked, split into entries, then
+divided by the gcd of D and its coefficients, or over F_p(t) reduced mod
+p and trimmed) on the first read of its rows, rank or hash, or when it is
+first used as an input.  Two forms compare by one rule (``equal``): equal
+raw results are equal, and every other pair is compared canonical.
+Unequal raw rows never make two results unequal, since over F_p(t) they
+are an unreduced integer lift: over F_2(t), [E01, E10] = diag(1, -1) and
+[E10, E01] = diag(-1, 1) as integers, and both are I mod 2.
 
 ``Matrix`` wraps a result in a matrix that holds only its form; ``decode``
 gives its canonical rows when they are first read.  Over Q every polynomial
@@ -79,21 +82,24 @@ def _modulus(field):
 
 class Form:
     """The integer form of one matrix.  ``polys`` and ``den`` are P and D,
-    None while the form is raw and ``raw`` is (D, B, V); ``norm`` and
-    ``deg`` are set when it is first an input, and ``values`` is
-    [B, rows, columns, dP/dt rows] of its values at 2^B, set by ``apply``."""
+    None while the form is raw and ``raw`` is (D, B, (L, columns), packed
+    rows); ``norm``, ``deg`` and ``sums`` (each row's l1 norm) are set when
+    it is first an input, and ``values`` is [(B, L), values at 2^B, packed
+    rows, packed dP/dt rows], set by ``apply``."""
 
-    __slots__ = ("polys", "den", "raw", "norm", "deg", "values")
+    __slots__ = ("polys", "den", "raw", "norm", "deg", "sums", "values")
 
     def __init__(self, polys=None, den=None, raw=None):
         self.polys, self.den, self.raw = polys, den, raw
-        self.norm = self.deg = self.values = None
+        self.norm = self.deg = self.sums = self.values = None
 
 
 def _measured(form):
-    """``form``, canonical, with its norm and degree."""
+    """``form``, canonical, with its norm, degree and row sums."""
     polys = form.polys
-    form.norm = max([sum(map(abs, p)) for row in polys for p in row], default=0)
+    l1 = [[sum(map(abs, p)) for p in row] for row in polys]
+    form.sums = [sum(row) for row in l1]
+    form.norm = max([max(row) for row in l1], default=0)
     form.deg = max([len(p) for row in polys for p in row], default=1) - 1
     return form
 
@@ -157,27 +163,37 @@ def _unpack(v, bits):
     return out
 
 
+def _pack(rows, shift):
+    """Each row of ints as one int, entry j times 2^(shift j)."""
+    out = []
+    for row in rows:
+        v = 0
+        for c in reversed(row):
+            v = (v << shift) + c
+        out.append(v)
+    return tuple(out)
+
+
 def _residues(poly, p):
-    """The integer polynomial ``poly`` mod p, trailing zeros trimmed."""
-    out = [c % p for c in poly]
+    """The integer polynomial ``poly`` (a list) mod p if p, trailing zeros trimmed."""
+    out = [c % p for c in poly] if p else poly
     while out and not out[-1]:
         out.pop()
     return tuple(out)
 
 
 def canonical(field, form):
-    """``form`` with its canonical P and D, made from its raw values (rows
-    V at 2^B of the entries times D) if it is raw."""
+    """``form`` with its canonical P and D, made from its raw packed rows
+    (the rows at 2^B times D) if it is raw."""
     if form.polys is not None:
         return form
-    den, bits, vals = form.raw
-    if isinstance(field, Rationals):
-        polys = [[(v,) if v else () for v in row] for row in vals]
-    else:
-        polys = [[tuple(_unpack(v, bits)) for v in row] for row in vals]
-        p = _modulus(field)
-        if p:
-            polys = [[_residues(poly, p) for poly in row] for row in polys]
+    den, bits, (slots, cols), rows = form.raw
+    width = slots * cols
+    p = _modulus(field)
+    polys = []
+    for v in rows:
+        c = _unpack(v, bits)
+        polys.append([_residues(c[k:k + slots], p) for k in range(0, width, slots)])
     if den > 1:
         g = gcd(den, *[c for row in polys for poly in row for c in poly])
         if g > 1:
@@ -251,8 +267,8 @@ def _bareiss_rank(m) -> int:
     return rank
 
 
-def int_rank(polys) -> int:
-    """Rank of integer polynomial rows ``polys`` (any shape).
+def int_rank(form) -> int:
+    """Rank of the polynomial rows of the measured form ``form`` (any shape).
 
     Every k x k minor of integer polynomial rows m is a sum, over
     permutations, of products of one entry from each of k rows, so its
@@ -264,12 +280,11 @@ def int_rank(polys) -> int:
     of m.
     """
     bound = 1
-    for row in polys:
-        s = sum([sum(map(abs, p)) for p in row])
+    for s in form.sums:
         if s:
             bound *= s
     bits = bound.bit_length() + 1
-    return _bareiss_rank([[_at(p, bits) for p in row] for row in polys])
+    return _bareiss_rank([[_at(p, bits) for p in row] for row in form.polys])
 
 
 def _cleared(field, row):
@@ -291,7 +306,7 @@ def rank(m) -> int:
     r = rep(m)
     if not r:
         r = clear(m.field, [_cleared(m.field, row) for row in m.rows])
-    return int_rank(r.polys)
+    return int_rank(r)
 
 
 # ---------------------------------------------------------------------------
@@ -305,18 +320,18 @@ def product(field, ra, rb):
     # coefficients, so at most len(pb) na nb: 2^(bits-1) is above it
     pb = rb.polys
     bits = (len(pb) * ra.norm * rb.norm).bit_length() + 1
-    cols = list(zip(*[[_at(p, bits) for p in row] for row in pb]))
-    vals = [[sum(map(mul, ai, bj)) for bj in cols]
-            for ai in [[_at(p, bits) for p in row] for row in ra.polys]]
-    return Form(raw=(ra.den * rb.den, bits, vals))
+    slots = max(ra.deg + rb.deg, 0) + 1
+    b_rows = _pack([[_at(p, bits) for p in row] for row in pb], bits * slots)
+    rows = [sum(map(mul, [_at(p, bits) for p in row], b_rows)) for row in ra.polys]
+    return Form(raw=(ra.den * rb.den, bits, (slots, len(pb[0])), rows))
 
 
 def apply(a, x, dt, memo):
     """The raw form of A x - x A + c dx/dt for matrices ``a`` and ``x`` over
     Q, Q(t) or F_p(t), with ``dt`` the ``scale`` of c (None for no d/dt
     term); None when an entry of ``a`` or ``x`` is not a polynomial.
-    ``memo`` keeps A's values by width, at most two widths, for the next
-    call with the same A and ``dt``."""
+    ``memo`` keeps A's values and packed rows by (B, L), at most two, for
+    the next call with the same A and ``dt``."""
     ra, rx = rep(a), rep(x)
     if not ra or not rx:
         return None
@@ -325,31 +340,30 @@ def apply(a, x, dt, memo):
     # the result is (dc (PA PX - PX PA) + da PC PX') / (da dx dc).  A product
     # of integer polynomials f g has coefficients at most |f|_1 |g|_1, and
     # |PX'|_1 <= degx |PX|_1, so every coefficient of the numerator is at
-    # most ``bound``; 2^(bits-1) > bound makes each entry unpack exactly
+    # most ``bound``; 2^(bits-1) > bound makes each slot unpack exactly
     nx = rx.norm
     bound = dc * 2 * n * ra.norm * nx + ra.den * nc * rx.deg * nx
     bits = (bound.bit_length() + 8) & -8
-    av = memo.get(bits)
+    slots = max(ra.deg + rx.deg, len(pc) + rx.deg - 2, 0) + 1
+    key = (bits, slots)
+    av = memo.get(key)
     if av is None:
         if len(memo) > 1:
             del memo[next(iter(memo))]
-        # one flat tuple a width: a derivation may be kept long after use
-        av = memo[bits] = (tuple([_at(p, bits) for row in ra.polys for p in row]),
-                           ra.den * _at(pc, bits))
+        A = tuple([tuple([_at(p, bits) for p in row]) for row in ra.polys])
+        av = memo[key] = (A, _pack(A, bits * slots), ra.den * _at(pc, bits))
     xv = rx.values
-    if xv is None or xv[0] != bits:
+    if xv is None or xv[0] != key:
         X = [[_at(p, bits) for p in row] for row in rx.polys]
-        xv = rx.values = [bits, X, list(zip(*X)), None]
-    flat, c = av
-    A = [flat[i:i + n] for i in range(0, n * n, n)]
-    a_cols = [flat[j::n] for j in range(n)]
-    X, x_cols = xv[1], xv[2]
-    vals = [[sum(map(mul, ai, xc)) - sum(map(mul, xi, ac)) for xc, ac in zip(x_cols, a_cols)]
-            for ai, xi in zip(A, X)]
+        xv = rx.values = [key, X, _pack(X, bits * slots), None]
+    A, a_rows, c = av
+    X, x_rows = xv[1], xv[2]
+    # row i of A X - X A: sum over k of a_ik X_k - x_ik A_k, on packed rows
+    rows = [sum(map(mul, ai, x_rows)) - sum(map(mul, xi, a_rows)) for ai, xi in zip(A, X)]
     if pc:
         dx = xv[3]
         if dx is None:
-            dx = xv[3] = [[_at([e * k for e, k in enumerate(p)][1:], bits) for p in row]
-                          for row in rx.polys]
-        vals = [[dc * v + c * w for v, w in zip(row, drow)] for row, drow in zip(vals, dx)]
-    return Form(raw=(ra.den * rx.den * dc, bits, vals))
+            dx = xv[3] = _pack([[_at([e * k for e, k in enumerate(p)][1:], bits) for p in row]
+                                for row in rx.polys], bits * slots)
+        rows = [dc * r + c * d for r, d in zip(rows, dx)]
+    return Form(raw=(ra.den * rx.den * dc, bits, (slots, n), rows))

@@ -121,6 +121,8 @@ def _cmd_extract(args) -> int:
 def _cmd_verify(args) -> int:
     if args.mode == "sampled" and args.seed is None:
         raise UsageError("sampled mode requires --seed")
+    if args.mode == "sampled" and args.count < 1:
+        raise UsageError(f"sampled verification needs a count >= 1, got {args.count}")
     delta = _read(DeltaMap, args.delta, args)
     report = verify_hypothesis(delta, args.s, mode=args.mode,
                                count=args.count, seed=args.seed,

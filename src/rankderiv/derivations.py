@@ -238,10 +238,6 @@ class DeltaMap:
         return self
 
     @classmethod
-    def from_function(cls, n: int, field: Field, domain: DeltaDomain, fn) -> "DeltaMap":
-        return cls(n, field, domain, fn)
-
-    @classmethod
     def from_table(cls, n: int, field: Field, domain: DeltaDomain,
                    entries) -> "DeltaMap":
         """``entries``: mapping or iterable of (input Matrix, output Matrix),
@@ -382,8 +378,7 @@ def derivation_delta(D: CanonicalDerivation,
     (full ring by default)."""
     if domain is None:
         domain = DeltaDomain.full()
-    return DeltaMap.from_function(D.n, D.field, domain,
-                                  lambda x: apply_derivation(D, x))
+    return DeltaMap(D.n, D.field, domain, lambda x: apply_derivation(D, x))
 
 
 def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
@@ -404,7 +399,7 @@ def make_delta(D: CanonicalDerivation, garbage_ranks=frozenset(),
                                      for _ in range(n)])
         return apply_derivation(D, x)
 
-    return DeltaMap.from_function(n, fld, DeltaDomain.full(), fn)
+    return DeltaMap(n, fld, DeltaDomain.full(), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +525,8 @@ def check_linear_combination(d1: DeltaMap, d2: DeltaMap, l1, l2, s: int,
     fld = d1.field
     l1 = fld.canonical(l1)
     l2 = fld.canonical(l2)
-    combo = DeltaMap.from_function(
-        d1.n, fld, d1.domain,
-        lambda x: d1(x).scaled(l1) + d2(x).scaled(l2))
+    combo = DeltaMap(d1.n, fld, d1.domain,
+                     lambda x: d1(x).scaled(l1) + d2(x).scaled(l2))
     return verify_hypothesis(combo, s, mode=mode, count=count, seed=seed)
 
 

@@ -403,11 +403,11 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
       brackets.  The sum is the whole-matrix key of [A, x], and the result
       holds only that (``_held``).
     * Over Q, Q(t) and F_p(t), when every entry of A and x is a
-      polynomial, [A, x] is computed on integers at t = 2^B
+      polynomial, [A, x] is computed at t = 2^B with each row one int
       (``_kronecker``) and held as its raw integer form.  When mu is c d/dt
       with c a polynomial, c is cleared once, here, and c dx/dt is folded
-      into the same integers.  A's values at 2^B are kept here too, for at
-      most two widths B.
+      into the same ints.  A's values and packed rows are kept here too,
+      for at most two (B, L), B bits a slot and L slots an entry.
     * Every other bracket is ``product_sum(A, x, x, -A)``: over a packed
       prime field one pass with one reduction per row.  -A is made when a
       bracket first needs it.
@@ -432,7 +432,7 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
 
     if _kronecker.handles(f):
         dt = _kronecker.scale(f, mu.scale) if mu.kind == "dt" else None
-        memo = {}    # A's values at 2^B, by B
+        memo = {}    # A's values and packed rows at 2^B, by (B, L)
 
         def apply(x):
             form = _kronecker.apply(a, x, dt, memo)
@@ -815,7 +815,7 @@ def random_rank_k(n: int, k: int, field: Field, seed: int) -> Matrix:
         v = [[field.random_element(rng) for _ in range(n)] for _ in range(k)]
         if kron:
             ru, rv = _kronecker.clear(field, u), _kronecker.clear(field, v)
-            if _kronecker.int_rank(ru.polys) == k and _kronecker.int_rank(rv.polys) == k:
+            if _kronecker.int_rank(ru) == k and _kronecker.int_rank(rv) == k:
                 return Matrix._held(field, n, _kronecker.product(field, ru, rv))
         elif _gen_rank(u, field) == k and _gen_rank(v, field) == k:
             return Matrix._raw(field, _gen_mul(u, v, field))

@@ -148,7 +148,7 @@ def test_verify_pass(capsys, ad_e12_full_file):
 
 
 def test_verify_identity_map_fails(capsys, tmp_path):
-    ident = DeltaMap.from_function(2, F2, DeltaDomain.full(), lambda m: m)
+    ident = DeltaMap(2, F2, DeltaDomain.full(), lambda m: m)
     path = tmp_path / "id.delta"
     path.write_text(ident.to_text())
     code, out, _ = run_cli(capsys, "verify", "--delta", str(path), "--s", "1")
@@ -508,6 +508,9 @@ CLI_REFUSALS = {
                     r"cannot parse field spec ''"),
     "sampled-without-seed": (("verify", "--delta", "{y}", "--s", "1", "--mode", "sampled"),
                              UsageError, r"sampled mode requires --seed"),
+    "sampled-count-zero": (("verify", "--delta", "{y}", "--s", "1", "--mode", "sampled",
+                            "--seed", "1", "--count", "0"),
+                           UsageError, r"sampled verification needs a count >= 1, got 0"),
 }
 
 
@@ -541,6 +544,13 @@ def test_missing_file_exit_2(capsys):
                            "--s", "1")
     assert code == 2
     assert "error:" in err
+
+
+def test_count_is_refused_before_the_file_is_read(capsys):
+    code, out, err = run_cli(capsys, "verify", "--delta", "/nonexistent.delta", "--s", "1",
+                             "--mode", "sampled", "--seed", "1", "--count", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: sampled verification needs a count >= 1, got 0\n"
 
 
 def test_module_entry_point():

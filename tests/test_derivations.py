@@ -371,7 +371,7 @@ def test_verify_inner_derivation_pass(F2):
 
 
 def test_verify_identity_map_fails_at_idempotent(F2):
-    ident = DeltaMap.from_function(2, F2, DeltaDomain.full(), lambda m: m)
+    ident = DeltaMap(2, F2, DeltaDomain.full(), lambda m: m)
     report = verify_hypothesis(ident, 1)
     assert not report.passed
     e11 = Matrix.unit(F2, 2, 0, 0)
@@ -383,8 +383,7 @@ def test_verify_identity_map_fails_at_idempotent(F2):
 
 
 def test_verify_zero_map_passes(F3):
-    zero = DeltaMap.from_function(2, F3, DeltaDomain.full(),
-                                  lambda m: Matrix.zero(F3, 2))
+    zero = DeltaMap(2, F3, DeltaDomain.full(), lambda m: Matrix.zero(F3, 2))
     assert verify_hypothesis(zero, 1).passed
 
 
@@ -429,7 +428,7 @@ def test_verify_sampled_reports_pinned(spec, n, garbage, pairs, mode, checked, v
         calls.append(x.encode())
         return inner(x)
 
-    got = verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, fn), 1,
+    got = verify_hypothesis(DeltaMap(n, F, inner.domain, fn), 1,
                             mode="sampled", count=40, seed=23, pairs=pairs)
     assert (got.mode, got.checked, len(got.violations)) == (mode, checked, violations)
     assert _sha(calls) == order
@@ -455,7 +454,7 @@ def test_verify_domain_errors_propagate(F2):
 def test_verify_exhaustive_guard_refuses_before_enumerating(F3, no_enumeration, pairs):
     """F_3, n = 4, s = 2 has 811,200 rank-2 matrices, 6.6e11 ordered pairs;
     the count comes from the formula, so nothing is enumerated or evaluated."""
-    delta = DeltaMap.from_function(4, F3, DeltaDomain.full(), no_enumeration)
+    delta = DeltaMap(4, F3, DeltaDomain.full(), no_enumeration)
     with pytest.raises(ResourceLimitError, match="exhaustive verification guard"):
         verify_hypothesis(delta, 2, pairs=pairs)
 
@@ -497,7 +496,7 @@ def test_verify_exhaustive_reads_delta_once_per_matrix(spec, n, pairs, distinct,
         calls.append(x.encode())
         return inner(x)
 
-    got = verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, fn), 1, pairs=pairs)
+    got = verify_hypothesis(DeltaMap(n, F, inner.domain, fn), 1, pairs=pairs)
     assert len(calls) == len(set(calls)) == distinct
     assert _sha(calls) == order
     assert got.checked == checked and len(got.violations) == violations
@@ -510,7 +509,7 @@ def test_verify_exhaustive_reads_delta_once_per_matrix(spec, n, pairs, distinct,
         return inner(x)
 
     with pytest.raises(ValueError, match=rf"^refused \[{last}\]$"):
-        verify_hypothesis(DeltaMap.from_function(n, F, inner.domain, refuse_last), 1,
+        verify_hypothesis(DeltaMap(n, F, inner.domain, refuse_last), 1,
                           pairs=pairs)
 
 
@@ -677,7 +676,7 @@ def test_verify_rank_zero_enumerates_rank_zero_only(F2, monkeypatch):
 
     monkeypatch.setattr(rankderiv.matrix, "enumerate_rank_k", recorded)
     zero = Matrix.zero(F2, 12)
-    delta = DeltaMap.from_function(12, F2, DeltaDomain.full(), lambda m: zero)
+    delta = DeltaMap(12, F2, DeltaDomain.full(), lambda m: zero)
     report = verify_hypothesis(delta, 0)
     assert report.passed and report.checked == 1
     assert calls == [0]
@@ -809,7 +808,7 @@ def test_extension_flags_corruption(F2):
 def test_extension_guard_refuses_before_enumerating(F3, no_enumeration):
     """F_3, n = 5 has 70,306,083 matrices of rank <= 2; the count comes from
     the formula, so nothing is enumerated or evaluated."""
-    delta = DeltaMap.from_function(5, F3, DeltaDomain.rank_exact(2), no_enumeration)
+    delta = DeltaMap(5, F3, DeltaDomain.rank_exact(2), no_enumeration)
     with pytest.raises(ResourceLimitError,
                        match="70306083 matrices exceed the 1000000 exhaustive extension guard"):
         extend_to_low_ranks(delta)
@@ -838,8 +837,7 @@ def test_extract_entrywise_dt(Qt):
 
 
 def test_extract_zero_map(F3):
-    delta = DeltaMap.from_function(2, F3, DeltaDomain.full(),
-                                   lambda m: Matrix.zero(F3, 2))
+    delta = DeltaMap(2, F3, DeltaDomain.full(), lambda m: Matrix.zero(F3, 2))
     got = extract_derivation(delta, 1)
     assert got.A.is_zero()
     assert got.mu.is_zero()
@@ -930,14 +928,13 @@ def test_extract_diagnoses_orthogonal_idempotents(F2):
 
 def test_extract_refuses_values_of_the_wrong_ring(F2, F3):
     for value in (Matrix.zero(F2, 3), Matrix.zero(F3, 2)):
-        delta = DeltaMap.from_function(2, F2, DeltaDomain.full(),
-                                       lambda x, value=value: value)
+        delta = DeltaMap(2, F2, DeltaDomain.full(), lambda x, value=value: value)
         with pytest.raises(UsageError):
             extract_derivation(delta, 1)
     # only the value read for mu is of the wrong size
     e00 = Matrix.unit(F2, 2, 0, 0)
     delta = make_delta(CanonicalDerivation(Matrix.unit(F2, 2, 0, 1)))
-    bad = DeltaMap.from_function(
+    bad = DeltaMap(
         2, F2, DeltaDomain.full(),
         lambda x: Matrix.zero(F2, 3) if x.rows == e00.scaled(0).rows else delta(x))
     with pytest.raises(UsageError):
@@ -981,8 +978,8 @@ def _reference_extract(delta, points):
 
 
 def _logged(delta, log):
-    return DeltaMap.from_function(delta.n, delta.field, delta.domain,
-                                  lambda x: log.append(x.rows) or delta(x))
+    return DeltaMap(delta.n, delta.field, delta.domain,
+                    lambda x: log.append(x.rows) or delta(x))
 
 
 def test_extract_matches_the_product_form_of_each_identity(F2, F3, Q):
@@ -1123,7 +1120,7 @@ def test_reconstruct_flags_the_product_rule_at_a_gap_rank(F2):
 def test_reconstruct_guard_refuses_before_enumerating(F2, no_enumeration):
     """M_5(F_2) has 2^25 matrices; the count comes from the formula, so
     nothing is extracted, enumerated or evaluated."""
-    delta = DeltaMap.from_function(5, F2, DeltaDomain.full(), no_enumeration)
+    delta = DeltaMap(5, F2, DeltaDomain.full(), no_enumeration)
     with pytest.raises(ResourceLimitError,
                        match="33554432 matrices exceed the 1000000 exhaustive reconstruction guard"):
         reconstruct_full(delta)
@@ -1140,7 +1137,7 @@ def test_reconstruct_refuses_missing_seed_before_extracting(Q):
         calls.append(x)
         return apply_derivation(d, x)
 
-    delta = DeltaMap.from_function(2, Q, DeltaDomain.full(), fn)
+    delta = DeltaMap(2, Q, DeltaDomain.full(), fn)
     with pytest.raises(UsageError, match="sampled reconstruction requires a seed"):
         reconstruct_full(delta)
     for count in (0, -5):

@@ -190,7 +190,7 @@ def _examples(name):
 def _form_rank(field, rows):
     """The integer rank of the form of polynomial ``rows``: what
     ``Matrix.rank`` takes over Q and Q(t) when a matrix has a form."""
-    return _kronecker.int_rank(_kronecker.clear(field, rows).polys)
+    return _kronecker.int_rank(_kronecker.clear(field, rows))
 
 
 def _rank(field, rows):
@@ -466,10 +466,11 @@ def test_raw_brackets_equal_mod_p():
     e01, e10 = Matrix.unit(f2t, 2, 0, 1), Matrix.unit(f2t, 2, 1, 0)
     r = apply_derivation(CanonicalDerivation(e01), e10)
     s = apply_derivation(CanonicalDerivation(e10), e01)
-    # as integers diag(1, -1) and diag(-1, 1): equal D and B, unequal V
-    assert r._fastrep.raw[:2] == s._fastrep.raw[:2]
-    assert r._fastrep.raw[2] == [[1, 0], [0, -1]]
-    assert s._fastrep.raw[2] == [[-1, 0], [0, 1]]
+    # as integers diag(1, -1) and diag(-1, 1): equal D, B and shape (one
+    # 8-bit slot an entry, two columns), unequal packed rows
+    assert r._fastrep.raw[:3] == s._fastrep.raw[:3] == (1, 8, (1, 2))
+    assert r._fastrep.raw[3] == [1, -1 << 8]
+    assert s._fastrep.raw[3] == [-1, 1 << 8]
     assert r == s and s == r and not r != s
     one = Matrix.identity(f2t, 2)
     assert r == one and one == r and hash(r) == hash(s) == hash(one)
@@ -520,6 +521,165 @@ def test_raw_results_with_different_den_or_width():
     assert unequal > 40
 
 
+# -- the row layout ---------------------------------------------------------------------
+
+F2T, F3T = parse_field("F2(t)"), parse_field("F3(t)")
+
+
+def _layout_bracket(field, a_rows, x_rows, scale=None):
+    """(L, columns) of the raw form of [A, x] + c dx/dt, whose rows are then
+    checked against the generic bracket, and the canonical form."""
+    d = _derivation(field, a_rows, scale)
+    got = _raw_bracket(d, x_rows)
+    shape = got._fastrep.raw[2]
+    assert got.rows == _reference(field, d.A.rows, Matrix._raw(field, x_rows).rows, d.mu)
+    return shape, got._fastrep
+
+
+def _layout_product(field, a_rows, b_rows):
+    """(L, columns) of the raw form of the product, whose rows are then
+    checked against ``_gen_mul``, and the canonical form."""
+    form = _kronecker.product(field, _kronecker.clear(field, a_rows),
+                              _kronecker.clear(field, b_rows))
+    shape = form.raw[2]
+    assert len(form.raw[3]) == len(a_rows)
+    assert _kronecker.decode(field, form) == tuple(map(tuple, _gen_mul(a_rows, b_rows, field)))
+    return shape, form
+
+
+def _signs(poly):
+    return {c > 0 for c in poly if c}
+
+
+def test_row_layout_borrow_across_entries():
+    """A negative entry beside a positive one: the signed unpack of the row
+    borrows across the boundary between them."""
+    zero, one = QT.zero, QT.one
+    p = QT.from_poly([1, Fraction(1, 3), 2])
+    m = QT.neg(p)
+    for row in ([m, p], [p, m], [m, p, m], [QT.from_int(-1), one, QT.from_int(-1)]):
+        # 1 x 1 times a row is the row
+        shape, form = _layout_product(QT, [[one]], [row])
+        assert shape == (len(row[0][0]), len(row))
+    # [diag(0, 1, -1), x] has entries (a_i - a_j) x_ij
+    a_rows = [[zero] * 3, [zero, one, zero], [zero, zero, QT.from_int(-1)]]
+    x_rows = [[zero, p, p], [m, zero, p], [p, m, zero]]
+    shape, form = _layout_bracket(QT, a_rows, x_rows)
+    assert shape == (3, 3)
+    first = form.polys[0]
+    assert _signs(first[1]) == {False} and _signs(first[2]) == {True}
+    for scale in (T, QT.from_poly([-5, 0, 1])):
+        assert _layout_bracket(QT, a_rows, x_rows, scale)[0][1] == 3
+
+
+def test_row_layout_degree_zero_and_maximum_degree_in_one_row():
+    """Entries of degree 0 and of the largest degree share a row: each
+    takes L slots, one above the largest degree of the product or of the
+    d/dt term."""
+    for field in (QT, F3T):
+        t, one, two, zero = field.gen, field.one, field.from_int(2), field.zero
+        big = field.from_poly([1, 0, 0, 0, 1])            # 1 + t^4
+        # row 0 of [A, x] is [-2, big^2 - 2 big], and c dx/dt is 0 there
+        a_rows, x_rows = [[zero, big], [two, zero]], [[two, one], [zero, big]]
+        for scale in (None, t):
+            shape, form = _layout_bracket(field, a_rows, x_rows, scale)
+            assert shape == (9, 2)
+            assert [len(p) for p in form.polys[0]] == [1, 9]
+        shape, form = _layout_product(field, [[one, big], [zero, one]], [[one, zero], [zero, big]])
+        assert shape == (9, 2)
+        assert [len(p) for p in form.polys[0]] == [1, 9]
+        # with A constant, c of degree 6 makes L = 6 + 4 - 1 + 1: row 0 is
+        # [1, big + c 4t^3]
+        c = field.from_poly([0] * 6 + [1])
+        shape, form = _layout_bracket(field, [[two, one], [zero, one]],
+                                      [[zero, big], [one, zero]], c)
+        assert shape == (10, 2)
+        assert [len(p) for p in form.polys[0]] == [1, 10]
+
+
+def test_row_layout_zero_rows_and_zero_matrices():
+    """Zero matrices have degree -1 and one slot an entry; a result row
+    whose last entries are zero is padded out to its column count."""
+    for field in (Q, QT, F3T):
+        zero, one = field.zero, field.one
+        t = field.from_int(3) if field == Q else field.gen
+        n = 3
+        z = [[zero] * n for _ in range(n)]
+        x_rows = [[t, zero, zero], [zero] * n, [zero, zero, one]]
+        scales = (None,) if field == Q else (None, t)
+        for scale in scales:
+            assert _layout_bracket(field, z, z, scale)[0] == (1, n)
+            assert _layout_bracket(field, x_rows, z, scale)[0] == (1, n)
+            _, form = _layout_bracket(field, z, x_rows, scale)
+            assert form.polys[1] == [()] * n
+            _, form = _layout_bracket(field, [[one, zero, zero], [zero] * n, [zero] * n],
+                                      x_rows, scale)
+            assert form.polys[1] == [()] * n
+        assert _layout_product(field, z, z)[0] == (1, n)
+        assert _layout_product(field, z, x_rows)[0] == (1, n)
+        shape, form = _layout_product(field, x_rows, x_rows)
+        assert shape[1] == n and form.polys[0][1:] == [(), ()]
+        assert form.polys[1] == [()] * n
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(t)", "F3(t)"])
+def test_row_layout_rectangular_products(spec):
+    """1 x k times k x m, and m x k times k x 1: the raw form holds the
+    column count the shape of a row does not give."""
+    field = parse_field(spec)
+    draw = _entry(field)
+    rng = random.Random(f"test_kronecker|rectangular|{spec}")
+    for k in range(1, 5):
+        for m in range(1, 5):
+            shape, form = _layout_product(field, _rows(rng, draw, 1, k), _rows(rng, draw, k, m))
+            assert shape[1] == m and len(form.polys) == 1
+            shape, form = _layout_product(field, _rows(rng, draw, m, k), _rows(rng, draw, k, 1))
+            assert shape[1] == 1 and len(form.polys) == m
+
+
+@pytest.mark.parametrize("spec", ["F2(t)", "F3(t)"])
+def test_row_layout_unreduced_lifts_over_fp_t(spec):
+    """Over F_p(t) a raw row is an integer lift: its slots may be negative
+    or past p, and two lifts of one matrix differ."""
+    field = parse_field(spec)
+    t, n = field.gen, 2
+    e01, e10 = Matrix.unit(field, n, 0, 1), Matrix.unit(field, n, 1, 0)
+    r = apply_derivation(CanonicalDerivation(e01.scaled(t)), e10)
+    s = apply_derivation(CanonicalDerivation(e10.scaled(t)), e01)
+    # as integers diag(t, -t) and diag(-t, t), two slots an entry; over
+    # F_2(t) both are t I
+    assert r._fastrep.raw[:3] == s._fastrep.raw[:3] and r._fastrep.raw[2] == (2, n)
+    assert r._fastrep.raw[3] != s._fastrep.raw[3]
+    diag = Matrix(field, [[t, field.zero], [field.zero, field.neg(t)]])
+    assert r == diag and s == -diag and (r == s) == (field.base.p == 2)
+    p = field.base.p
+    lifts = 0
+    for (a_rows, x_rows), scale in _examples(f"form_bracket|{spec}")[:30]:
+        d = _derivation(field, a_rows, scale)
+        got = _raw_bracket(d, x_rows)
+        bits = got._fastrep.raw[1]
+        lifts += any(not 0 <= c < p for v in got._fastrep.raw[3]
+                     for c in _kronecker._unpack(v, bits))
+        assert got.rows == _reference(field, d.A.rows, Matrix._raw(field, x_rows).rows, d.mu)
+    assert lifts > 10
+
+
+def test_row_layout_over_q():
+    """Over Q every entry has degree 0 or -1: one slot an entry."""
+    for a_rows, x_rows in _examples("apply_over_q")[:30]:
+        n = len(a_rows)
+        assert _layout_bracket(Q, a_rows, x_rows)[0] == (1, n)
+        assert _layout_product(Q, a_rows, x_rows)[0] == (1, n)
+
+
+def test_rank_reads_the_row_sums_kept_in_the_form():
+    """A form keeps each row's l1 norm, the factors of ``int_rank``'s bound."""
+    for rows in _examples("rank_polynomial_rows")[:30]:
+        form = _kronecker.clear(QT, rows)
+        assert form.sums == [sum(sum(map(abs, p)) for p in row) for row in form.polys]
+        assert _kronecker.int_rank(form) == _gen_rank(rows, QT)
+
+
 def _closure(fn, name):
     return fn.__closure__[fn.__code__.co_freevars.index(name)].cell_contents
 
@@ -534,7 +694,7 @@ def test_a_memo_holds_at_most_two_widths():
         x_rows = _rows(rng, _one_of(_poly, _zero_qt), n, n)
         got = _raw_bracket(d, x_rows)
         widths.add(got._fastrep.raw[1])
-        assert 1 <= len(memo) <= 2 and all(b % 8 == 0 for b in memo)
+        assert 1 <= len(memo) <= 2 and all(b % 8 == 0 for b, _ in memo)
         assert got.rows == _reference(QT, d.A.rows, x_rows, d.mu)
     # the points meet more widths than the memo holds
     assert len(widths) > 4

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parent.parent
 MUTANTS = [
     ("_kronecker.py", "        if g > 1:", "        if False:",
      "tests/test_kronecker.py"),
-    ("_kronecker.py", "    out = [c % p for c in poly]", "    out = list(poly)",
+    ("_kronecker.py", "    out = [c % p for c in poly] if p else poly", "    out = poly",
      "tests/test_kronecker.py"),
     ("_kronecker.py", "        out.pop()", "        break",
      "tests/test_kronecker.py"),
@@ -103,8 +103,16 @@ MUTANTS = [
     ("_kronecker.py", "        return r.raw == s.raw or _equal_canonical(field, r, s)",
      "        return r.raw == s.raw",
      "tests/test_kronecker.py::test_raw_brackets_equal_mod_p"),
-    ("_kronecker.py", "    av = memo.get(bits)", "    av = next(iter(memo.values()), None)",
+    ("_kronecker.py", "    av = memo.get(key)", "    av = next(iter(memo.values()), None)",
      "tests/test_kronecker.py::test_a_memo_holds_at_most_two_widths"),
+    # the row layout: one slot an entry too few, and no trailing zero entries
+    ("_kronecker.py", "    slots = max(ra.deg + rx.deg, len(pc) + rx.deg - 2, 0) + 1",
+     "    slots = max(ra.deg + rx.deg, len(pc) + rx.deg - 2, 0)",
+     "tests/test_kronecker.py::test_row_layout_degree_zero_and_maximum_degree_in_one_row"),
+    ("_kronecker.py",
+     "        polys.append([_residues(c[k:k + slots], p) for k in range(0, width, slots)])",
+     "        polys.append([_residues(c[k:k + slots], p) for k in range(0, len(c), slots)])",
+     "tests/test_kronecker.py::test_row_layout_zero_rows_and_zero_matrices"),
     ("derivations.py", "        if lhs != rhs:", "        if False:",
      "tests/test_derivations.py::test_verify_sampled_reports_pinned"),
     ("derivations.py", "            x, y = y, x", "            pass",
