@@ -44,11 +44,12 @@ are an unreduced integer lift: over F_2(t), [E01, E10] = diag(1, -1) and
 [E10, E01] = diag(-1, 1) as integers, and both are I mod 2.
 
 ``Matrix`` wraps a result in a matrix that holds only its form; ``decode``
-gives its canonical rows when they are first read.  Over Q every polynomial
-has degree 0, so its value is its one coefficient and the same code works
-on plain integers.  Matrices with an entry that is not a polynomial have
-no form: ``apply`` returns None for them, and ``Matrix`` multiplies them
-by its generic field operations.
+gives its canonical rows when they are first read, and ``entry`` reads one
+entry off P or, raw, off its row's packed int alone.  Over Q every
+polynomial has degree 0, so its value is its one coefficient and the same
+code works on plain integers.  Matrices with an entry that is not a
+polynomial have no form: ``apply`` returns None for them, and ``Matrix``
+multiplies them by its generic field operations.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from operator import mul
 from .fields import PrimeField, Rationals, RationalFunctionField
 
 __all__ = ["Form", "handles", "ranks", "clear", "rep", "canonical", "equal", "scale",
-           "int_rank", "rank", "apply", "product", "decode"]
+           "int_rank", "rank", "apply", "product", "decode", "entry"]
 
 
 def handles(field) -> bool:
@@ -95,12 +96,20 @@ class Form:
 
 
 def _measured(form):
-    """``form``, canonical, with its norm, degree and row sums."""
-    polys = form.polys
-    l1 = [[sum(map(abs, p)) for p in row] for row in polys]
-    form.sums = [sum(row) for row in l1]
-    form.norm = max([max(row) for row in l1], default=0)
-    form.deg = max([len(p) for row in polys for p in row], default=1) - 1
+    """``form``, canonical, with its norm, degree (-1 if zero) and row sums."""
+    sums, norm, size = [], 0, 0
+    for row in form.polys:
+        total = 0
+        for p in row:
+            if p:
+                a = sum(map(abs, p))
+                total += a
+                if a > norm:
+                    norm = a
+                if len(p) > size:
+                    size = len(p)
+        sums.append(total)
+    form.sums, form.norm, form.deg = sums, norm, size - 1
     return form
 
 
@@ -110,13 +119,13 @@ def clear(field, rows):
     if isinstance(field, Rationals):
         coeffs = [[(c,) if c else () for c in row] for row in rows]
     else:
-        one = field._one_poly
-        if any(d != one for row in rows for _, d in row):
+        one = field._one_poly    # canonical values share it: ``is`` settles most
+        if any(d is not one and d != one for row in rows for _, d in row):
             return None
         coeffs = [[num for num, _ in row] for row in rows]
         if _modulus(field):
             return _measured(Form(coeffs, 1))
-    den = lcm(*[c.denominator for row in coeffs for p in row for c in p])
+    den = lcm(*{c.denominator for row in coeffs for p in row for c in p})
     polys = [[tuple([c.numerator * (den // c.denominator) for c in p]) for p in row]
              for row in coeffs]
     return _measured(Form(polys, den))
@@ -219,7 +228,11 @@ def _equal_canonical(field, r, s):
 def decode(field, form):
     """The canonical rows of the matrix with integer form ``form``."""
     form = canonical(field, form)
-    polys, den = form.polys, form.den
+    return _values(field, form.polys, form.den)
+
+
+def _values(field, polys, den):
+    """The field values of the integer polynomial rows ``polys`` over ``den``."""
     zero = field.zero
     if isinstance(field, Rationals):
         return tuple([tuple([Fraction(p[0], den) if p else zero for p in row])
@@ -229,6 +242,21 @@ def decode(field, form):
         return tuple([tuple([(p, one) if p else zero for p in row]) for row in polys])
     return tuple([tuple([(tuple([Fraction(c, den) for c in p]), one) if p else zero
                          for p in row]) for row in polys])
+
+
+def entry(field, form, i, j):
+    """``decode``'s entry (i, j), i and j in range, of the matrix with form ``form``."""
+    if form.raw is None:
+        poly, den = form.polys[i][j], form.den
+    else:
+        den, bits, (slots, _), rows = form.raw
+        w = bits * slots
+        v = rows[i] >> w * j
+        if j and rows[i] >> w * j - 1 & 1:
+            v += 1    # the entries before j sum to a negative value, which borrowed one
+        half = 1 << w - 1
+        poly = _residues(_unpack((v + half & 2 * half - 1) - half, bits), _modulus(field))
+    return _values(field, ((poly,),), den)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -588,11 +588,12 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
     rule on rank-s pairs; needs the map only on matrices of rank <= 1.
 
     Raises ExtractionError naming the first structural identity that fails
-    (which certifies the input is not such a map).  mu(c) is entry (0, 0)
-    of delta(c e_00): read at every c over F_p, giving a table; at c = t
-    over Q(t) and F_p(t), where a derivation is mu(t) d/dt; nowhere over Q,
-    where it is zero.  Over an infinite field delta is also read at each of
-    ``probes``; if one disagrees with mu, the result's mu is the probe table.
+    (which certifies the input is not such a map); the lambda identities take
+    n^2 steps unless one fails.  mu(c) is entry (0, 0) of delta(c e_00):
+    read at every c over F_p, giving a table; at c = t over Q(t) and F_p(t),
+    where a derivation is mu(t) d/dt; nowhere over Q, where it is zero.
+    Over an infinite field delta is also read at each of ``probes``; if one
+    disagrees with mu, the result's mu is the probe table.
     """
     n, fld = delta.n, delta.field
     if not (n >= 2 and 1 <= s and 2 * s <= n):
@@ -609,9 +610,8 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
     d_diag = [delta(units[i][i]) for i in range(n)]
     for i in range(n):
         units[i][i]._check(d_diag[i])
-        d = d_diag[i].rows
         # d = e_ii d + d e_ii: zero off row and column i; d_ii = 2 d_ii
-        if any(d[r][c] != zero for r in range(n) for c in range(n)
+        if any(d_diag[i][r, c] != zero for r in range(n) for c in range(n)
                if (r == i) == (c == i)):
             raise ExtractionError(
                 "idempotent-image",
@@ -625,21 +625,21 @@ def extract_derivation(delta: DeltaMap, s: int, probes=()) -> CanonicalDerivatio
                     "orthogonal-idempotents",
                     f"e_{i}{i} delta(e_{j}{j}) + delta(e_{i}{i}) e_{j}{j} != 0")
 
-    lam = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            d = d_diag[i] if i == j else image(units[i][j])
-            lam[i][j] = d[i, j]
-    for i in range(n):
-        for j in range(n):
-            if lam[i][j] != fld.neg(lam[j][i]):
-                raise ExtractionError(
-                    "lambda-antisymmetry", f"lambda_{i}{j} != -lambda_{j}{i}")
-            for k in range(n):
-                if lam[i][k] != fld.add(lam[i][j], lam[j][k]):
+    lam = [[(d_diag[i] if i == j else image(units[i][j]))[i, j] for j in range(n)]
+           for i in range(n)]
+    # with lambda_ii = 0, lambda_ij = lambda_i0 + lambda_0j for all i, j implies all below
+    if not all(lam[i][j] == fld.add(lam[i][0], lam[0][j])
+               for i in range(n) for j in range(n)):
+        for i in range(n):
+            for j in range(n):
+                if lam[i][j] != fld.neg(lam[j][i]):
                     raise ExtractionError(
-                        "lambda-cocycle",
-                        f"lambda_{i}{k} != lambda_{i}{j} + lambda_{j}{k}")
+                        "lambda-antisymmetry", f"lambda_{i}{j} != -lambda_{j}{i}")
+                for k in range(n):
+                    if lam[i][k] != fld.add(lam[i][j], lam[j][k]):
+                        raise ExtractionError(
+                            "lambda-cocycle",
+                            f"lambda_{i}{k} != lambda_{i}{j} + lambda_{j}{k}")
 
     # column c of A is column c of delta(e_cc) (zero at (c, c)), plus
     # lambda_c0 at (c, c)

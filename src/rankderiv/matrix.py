@@ -26,15 +26,16 @@ use the generic elimination below with ``PrimeField`` operations.
 Over Q, Q(t) and F_p(t) a matrix with polynomial entries has an integer
 form (``_kronecker``, which states how it is held, read and compared),
 cached in ``_fastrep``; products and ``bracket_map``'s bracket return a
-matrix that holds only the form (``_held``).  The rank over Q and Q(t) is
-an integer rank; over F_p(t) it is generic.  A matrix only ever meets the
-fast paths of its own field, so the slot holds one kind of value per
-field.  Other fields, and the rank normal form and nullspace over Q, Q(t)
-and F_p(t), use the generic elimination below: one
-forward pass, ``_echelon``, whose steps give the rank, the reduced echelon
-form (normalized and back-substituted) and the rank normal form.  Every
-path has the same pivoting rule (first nonzero entry in column order), so
-outputs do not depend on the representation.
+matrix that holds only the form (``_held``).  An entry of a held matrix,
+form or key, is read without decoding it.  ``unit`` and ``scaled`` record
+known ranks.  The rank over Q and Q(t) is an integer rank; over F_p(t) it
+is generic.  A matrix only ever meets the fast paths of its own field, so
+the slot holds one kind of value per field.  Other fields, and the rank
+normal form and nullspace over Q, Q(t) and F_p(t), use the generic
+elimination below: one forward pass, ``_echelon``, whose steps give the
+rank, the reduced echelon form (normalized and back-substituted) and the
+rank normal form.  Every path has the same pivoting rule (first nonzero
+entry in column order), so outputs do not depend on the representation.
 """
 
 from __future__ import annotations
@@ -123,10 +124,11 @@ class Matrix:
     @classmethod
     def unit(cls, field: Field, n: int, i: int, j: int) -> "Matrix":
         """The matrix with a single 1 at (i, j), 0-based."""
-        z = field.zero
-        rows = [[z] * n for _ in range(n)]
+        rows = [[field.zero] * n for _ in range(n)]
         rows[i][j] = field.one
-        return cls._raw(field, rows)
+        m = cls._raw(field, rows)
+        m._rank = 1
+        return m
 
     @classmethod
     def diag_ones(cls, field: Field, n: int, indices) -> "Matrix":
@@ -235,7 +237,9 @@ class Matrix:
     def scaled(self, c) -> "Matrix":
         f = self.field
         c = f.canonical(c)
-        return Matrix._raw(f, [[f.mul(c, e) for e in row] for row in self.rows])
+        m = Matrix._raw(f, [[f.mul(c, e) for e in row] for row in self.rows])
+        m._rank = self._rank if c != f.zero else 0
+        return m
 
     def transpose(self) -> "Matrix":
         return Matrix._raw(self.field, list(zip(*self.rows)))
@@ -319,13 +323,14 @@ _ROWS = Matrix.rows    # the slot that a _HeldMatrix fills on first read, None u
 
 
 class _HeldMatrix(Matrix):
-    """A matrix held as its integer form (``_kronecker``) in ``_fastrep``, or
-    as its whole-matrix key (``_packed.Space.key``) in ``_key`` with its
+    """A matrix held as its integer form (``_kronecker``) in ``_fastrep``,
+    or as its whole-matrix key (``_packed.Space.key``) in ``_key`` with its
     packed space in ``_sp``; its rows, and a key's packed rows in
-    ``_fastrep``, are decoded when first read.  ``hash`` decodes the rows,
-    as the matrix built from them hashes them.  The lazy rows live here,
-    not in a ``__getattr__`` on ``Matrix``, which would slow every
-    attribute read of every matrix."""
+    ``_fastrep``, are decoded when first read, but an entry is read off the
+    form or the key alone.  ``hash`` decodes the rows, as the matrix built
+    from them hashes them.  The lazy rows live here, not in a
+    ``__getattr__`` on ``Matrix``, which would slow every attribute read of
+    every matrix."""
 
     __slots__ = ("_sp", "_key")
 
@@ -338,6 +343,16 @@ class _HeldMatrix(Matrix):
                     else sp.unkey(self._key))
             _ROWS.__set__(self, rows)
         return rows
+
+    def __getitem__(self, ij):
+        i, j = ij
+        n = self.n
+        if _ROWS.__get__(self) is not None or i not in range(n) or j not in range(n):
+            return self.rows[i][j]
+        if self._sp is None:
+            return _kronecker.entry(self.field, self._fastrep, i, j)
+        # the key's slot n i + j (``_packed.Space.key``)
+        return self._key >> 8 * (n * i + j) & 1 if self._sp.p == 2 else self._key[n * i + j]
 
     def _packed_rows(self, sp) -> tuple:
         rep = self._fastrep
@@ -402,12 +417,9 @@ def bracket_map(a: Matrix, mu: FieldDerivation):
       so the tables pay off as rows recur among the matrices one map
       brackets.  The sum is the whole-matrix key of [A, x], and the result
       holds only that (``_held``).
-    * Over Q, Q(t) and F_p(t), when every entry of A and x is a
-      polynomial, [A, x] is computed at t = 2^B with each row one int
-      (``_kronecker``) and held as its raw integer form.  When mu is c d/dt
-      with c a polynomial, c is cleared once, here, and c dx/dt is folded
-      into the same ints.  A's values and packed rows are kept here too,
-      for at most two (B, L), B bits a slot and L slots an entry.
+    * Over Q, Q(t) and F_p(t), with polynomial entries, [A, x] and c dx/dt
+      for a polynomial c are one raw integer form (``_kronecker``); c is
+      cleared and A's values are kept here, for at most two (B, L).
     * Every other bracket is ``product_sum(A, x, x, -A)``: over a packed
       prime field one pass with one reduction per row.  -A is made when a
       bracket first needs it.

@@ -10,6 +10,7 @@ import itertools
 import pytest
 
 from rankderiv import parse_field
+from rankderiv.matrix import _ROWS
 
 
 @pytest.fixture
@@ -82,3 +83,22 @@ def all_matrices_mod(n, p):
 
 def brute_rank_k_count(n, k, p):
     return sum(1 for m in all_matrices_mod(n, p) if ref_rank_mod(m, p) == k)
+
+
+def check_entry_reads(m, rows):
+    """``m[i, j]`` against ``rows[i][j]`` for i, j from -n - 1 to n: in range
+    first, where reading an entry of a held matrix decodes none of it, then
+    the negative and out-of-range indices, which raise as the rows do."""
+    n = len(rows)
+    held = m._fastrep
+    assert [[m[i, j] for j in range(n)] for i in range(n)] == [list(r) for r in rows]
+    assert _ROWS.__get__(m) is None and m._fastrep is held
+    for i in range(-n - 1, n + 1):
+        for j in range(-n - 1, n + 1):
+            try:
+                want = rows[i][j]
+            except IndexError:
+                with pytest.raises(IndexError):
+                    m[i, j]
+            else:
+                assert m[i, j] == want

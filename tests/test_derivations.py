@@ -1029,6 +1029,86 @@ def test_extract_matches_the_product_form_of_each_identity(F2, F3, Q):
                         "lambda-antisymmetry", "lambda-cocycle", "derivation"}
 
 
+def _first_failure(delta):
+    """The ExtractionError text of the first identity that fails, with each
+    check as extraction states it and the lambda identities as the n^3
+    antisymmetry and cocycle loop, or None."""
+    n, fld = delta.n, delta.field
+    e = _units(fld, n)
+    zero = fld.zero
+    d = [delta(e[i, i]).rows for i in range(n)]
+    for i in range(n):
+        if any(d[i][r][c] != zero for r in range(n) for c in range(n) if (r == i) == (c == i)):
+            return (f"idempotent-image: delta(e_{i}{i}) is not of the sandwich form "
+                    f"required by the product rule at (e_{i}{i}, e_{i}{i})")
+    for i in range(n):
+        for j in range(n):
+            if i != j and fld.add(d[j][i][j], d[i][i][j]) != zero:
+                return (f"orthogonal-idempotents: e_{i}{i} delta(e_{j}{j}) + "
+                        f"delta(e_{i}{i}) e_{j}{j} != 0")
+    lam = [[(d[i] if i == j else delta(e[i, j]).rows)[i][j] for j in range(n)]
+           for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if lam[i][j] != fld.neg(lam[j][i]):
+                return f"lambda-antisymmetry: lambda_{i}{j} != -lambda_{j}{i}"
+            for k in range(n):
+                if lam[i][k] != fld.add(lam[i][j], lam[j][k]):
+                    return f"lambda-cocycle: lambda_{i}{k} != lambda_{i}{j} + lambda_{j}{k}"
+    return None
+
+
+@pytest.mark.parametrize("spec, n", [("F3", 4), ("Q", 3)])
+def test_extract_names_the_failure_the_n3_loop_names(spec, n):
+    """delta(e_ij) moved by c e_ij, for every (i, j): extraction raises the
+    message of the first failure by the n^3 loop, after the same evaluations."""
+    field = parse_field(spec)
+    shifts = (1, 2) if field.is_finite else (Fraction(1), Fraction(-2, 3))
+    kinds = set()
+    for seed in range(2):
+        delta = make_delta(CanonicalDerivation.random(field, n, seed=seed))
+        for (i, j), x in _units(field, n).items():
+            for c in shifts:
+                bad = delta.override(x, delta(x) + x.scaled(c))
+                ref_log, log = [], []
+                want = _first_failure(_logged(bad, ref_log))
+                with pytest.raises(ExtractionError) as err:
+                    extract_derivation(_logged(bad, log), 1)
+                assert str(err.value) == want, (spec, seed, i, j, c)
+                assert log == ref_log
+                kinds.add(err.value.identity)
+    assert kinds == {"idempotent-image", "lambda-antisymmetry", "lambda-cocycle"}
+
+
+@pytest.mark.parametrize("spec", ["Q(t)", "F3(t)"])
+def test_extract_decodes_and_ranks_nothing(spec, monkeypatch):
+    """Extraction reads single entries of delta's results without decoding
+    them, and the units and multiples it evaluates carry their ranks, so
+    ``make_delta``'s garbage check ranks none of them."""
+    from rankderiv import _kronecker, matrix
+
+    field = parse_field(spec)
+    t = field.gen
+    probes = [t, field.mul(t, t), field.add(t, field.one), field.one]
+    calls = []
+    for module, name in ((_kronecker, "decode"), (_kronecker, "int_rank"),
+                         (matrix, "_gen_rank")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    for n in (2, 3, 4):
+        for seed in range(3):
+            d = CanonicalDerivation.random(field, n, seed=seed, with_dt=True)
+            delta = make_delta(d, garbage_ranks=range(2, n + 1), seed=seed)
+            got = extract_derivation(delta, 1, probes=probes)
+            assert calls == [], (n, seed)
+            assert got == d
+    # the counters see a rank and a decode where there is one
+    y = Matrix(field, [[t] * 4] * 4)
+    assert delta(y).rows == apply_derivation(d, y).rows
+    assert "decode" in calls and {"int_rank", "_gen_rank"} & set(calls)
+
+
 def test_extract_mu_probe_table_when_unfittable(Qt):
     d = CanonicalDerivation(Matrix.zero(Qt, 2))
     delta = make_delta(d)

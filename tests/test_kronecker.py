@@ -16,7 +16,10 @@ import pytest
 from rankderiv import (CanonicalDerivation, FieldDerivation, Matrix, apply_derivation,
                        parse_field)
 from rankderiv import _kronecker
+from rankderiv._kronecker import Form
 from rankderiv.matrix import _HeldMatrix, _gen_mul, _gen_rank, random_rank_k
+
+from conftest import check_entry_reads
 
 Q = parse_field("Q")
 QT = parse_field("Q(t)")
@@ -375,6 +378,23 @@ def _whole(form):
     return form.polys, form.den, form.norm, form.deg
 
 
+def _check_entries(field, form):
+    """Each entry of the raw form ``form`` read off its packed rows, which
+    leaves it raw, and again once it is canonical, against ``decode``'s
+    rows, which it returns."""
+    assert form.raw is not None
+    nrows, cols = len(form.raw[3]), form.raw[2][1]
+
+    def read():
+        return tuple([tuple([_kronecker.entry(field, form, i, j) for j in range(cols)])
+                      for i in range(nrows)])
+    raw = read()
+    assert form.raw is not None and form.polys is None
+    rows = _kronecker.decode(field, form)
+    assert form.raw is None and raw == rows and read() == rows
+    return rows
+
+
 def _check_form(field, got, want):
     """``got``, a matrix held as its raw integer form, against the rows ``want``."""
     assert got.__class__ is _HeldMatrix and got._sp is None
@@ -384,6 +404,7 @@ def _check_form(field, got, want):
     # rows; its norm and degree are added when it is first used as an input
     form = got._fastrep
     assert form.raw is not None and form.polys is None
+    assert _check_entries(field, Form(raw=form.raw)) == want
     assert _kronecker.canonical(field, form) is form and form.raw is None
     assert _whole(form) == _whole(twin._fastrep)[:2] + (None, None)
     assert _whole(_kronecker.rep(got)) == _whole(twin._fastrep)
@@ -421,7 +442,7 @@ def test_integer_form_products(spec):
         want = tuple(map(tuple, _gen_mul(a_rows, b_rows, field)))
         form = _kronecker.product(field, _kronecker.clear(field, a_rows),
                                   _kronecker.clear(field, b_rows))
-        assert _kronecker.decode(field, form) == want
+        assert _check_entries(field, form) == want
         assert _whole(form)[:2] == _whole(_kronecker.clear(field, want))[:2]
     for (a_rows, b_rows), _ in _examples(f"form_bracket|{spec}"):
         a, b = Matrix._raw(field, a_rows), Matrix._raw(field, b_rows)
@@ -532,7 +553,9 @@ def _layout_bracket(field, a_rows, x_rows, scale=None):
     d = _derivation(field, a_rows, scale)
     got = _raw_bracket(d, x_rows)
     shape = got._fastrep.raw[2]
-    assert got.rows == _reference(field, d.A.rows, Matrix._raw(field, x_rows).rows, d.mu)
+    want = _reference(field, d.A.rows, Matrix._raw(field, x_rows).rows, d.mu)
+    assert _check_entries(field, got._fastrep) == want
+    assert got.rows == want
     return shape, got._fastrep
 
 
@@ -543,7 +566,7 @@ def _layout_product(field, a_rows, b_rows):
                               _kronecker.clear(field, b_rows))
     shape = form.raw[2]
     assert len(form.raw[3]) == len(a_rows)
-    assert _kronecker.decode(field, form) == tuple(map(tuple, _gen_mul(a_rows, b_rows, field)))
+    assert _check_entries(field, form) == tuple(map(tuple, _gen_mul(a_rows, b_rows, field)))
     return shape, form
 
 
@@ -622,7 +645,7 @@ def test_row_layout_zero_rows_and_zero_matrices():
         assert form.polys[1] == [()] * n
 
 
-@pytest.mark.parametrize("spec", ["Q", "Q(t)", "F3(t)"])
+@pytest.mark.parametrize("spec", ["Q", "Q(t)", "F2(t)", "F3(t)"])
 def test_row_layout_rectangular_products(spec):
     """1 x k times k x m, and m x k times k x 1: the raw form holds the
     column count the shape of a row does not give."""
@@ -670,6 +693,18 @@ def test_row_layout_over_q():
         n = len(a_rows)
         assert _layout_bracket(Q, a_rows, x_rows)[0] == (1, n)
         assert _layout_product(Q, a_rows, x_rows)[0] == (1, n)
+
+
+@pytest.mark.parametrize("spec", ["Q", "Q(t)", "F2(t)", "F3(t)"])
+def test_entry_reads_of_held_matrices(spec):
+    """``m[i, j]`` of a bracket held raw and of a matrix held as a canonical
+    form reads the form, negative and out-of-range indices as the rows."""
+    field = parse_field(spec)
+    for (a_rows, x_rows), scale in _examples(f"form_bracket|{spec}")[:20]:
+        d = _derivation(field, a_rows, scale)
+        want = _reference(field, d.A.rows, x_rows, d.mu)
+        check_entry_reads(_raw_bracket(d, x_rows), want)
+        check_entry_reads(Matrix._held(field, len(want), _kronecker.clear(field, want)), want)
 
 
 def test_rank_reads_the_row_sums_kept_in_the_form():

@@ -49,9 +49,27 @@ def test_dimension_and_field_mismatch(Q, F2):
 
 def test_rank_examples(Q, F2):
     assert Matrix.unit(F2, 2, 0, 0).rank() == 1
+    assert Matrix(F2, Matrix.unit(F2, 2, 0, 0).rows).rank() == 1
     assert Matrix.zero(Q, 3).rank() == 0
     dependent = Matrix(Q, [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
     assert dependent.rank() == 1
+
+
+def test_units_and_their_multiples_record_their_ranks():
+    """``Matrix.unit`` records rank 1 and ``scaled`` keeps a recorded rank,
+    or records 0 for c = 0: each equals the rank that elimination gives."""
+    for spec in ("F2", "F3", "Q", "Q(t)", "F3(t)"):
+        field = parse_field(spec)
+        t = {"F2": 1, "F3": 2, "Q": Fraction(3, 2)}.get(spec) or field.gen
+        for n in (1, 2, 3):
+            for i in range(n):
+                for j in range(n):
+                    unit = Matrix.unit(field, n, i, j)
+                    for m in (unit, unit.scaled(field.one), unit.scaled(t), unit.scaled(field.zero),
+                              unit.scaled(t).scaled(field.zero)):
+                        assert m._rank == Matrix(field, m.rows).rank(), (spec, n, i, j)
+            eye = Matrix.identity(field, n)
+            assert eye.scaled(t)._rank is None and eye.scaled(field.zero)._rank == 0
 
 
 def test_rank_against_oracle(F3):

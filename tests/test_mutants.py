@@ -113,6 +113,21 @@ MUTANTS = [
      "        polys.append([_residues(c[k:k + slots], p) for k in range(0, width, slots)])",
      "        polys.append([_residues(c[k:k + slots], p) for k in range(0, len(c), slots)])",
      "tests/test_kronecker.py::test_row_layout_zero_rows_and_zero_matrices"),
+    # entries read off a raw row: the borrow of a negative entry before j
+    ("_kronecker.py",
+     "            v += 1    # the entries before j sum to a negative value, which borrowed one",
+     "            v += 0",
+     "tests/test_kronecker.py::test_row_layout_borrow_across_entries"),
+    # a zero matrix measured as degree 0, as if only nonzero entries counted
+    ("_kronecker.py", "    sums, norm, size = [], 0, 0", "    sums, norm, size = [], 0, 1",
+     "tests/test_kronecker.py::test_row_layout_zero_rows_and_zero_matrices"),
+    ("matrix.py", "        m._rank = self._rank if c != f.zero else 0",
+     "        m._rank = self._rank",
+     "tests/test_matrix.py::test_units_and_their_multiples_record_their_ranks"),
+    # the n^2 lambda check on the lower triangle only
+    ("derivations.py", "               for i in range(n) for j in range(n)):",
+     "               for i in range(n) for j in range(i + 1)):",
+     "tests/test_derivations.py::test_extract_names_the_failure_the_n3_loop_names"),
     ("derivations.py", "        if lhs != rhs:", "        if False:",
      "tests/test_derivations.py::test_verify_sampled_reports_pinned"),
     ("derivations.py", "            x, y = y, x", "            pass",

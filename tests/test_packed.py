@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ref_rank_mod
+from conftest import check_entry_reads, ref_rank_mod
 from rankderiv import (
     CanonicalDerivation,
     DeltaDomain,
@@ -450,6 +450,27 @@ def test_key_held_brackets_match_rows_held(p, n):
             assert op(fresh(i), y).rows == op(held(want), y).rows
         got, ref = fresh(i).rank_normal_form(), held(want).rank_normal_form()
         assert (got.P.rows, got.k, got.Q.rows) == (ref.P.rows, ref.k, ref.Q.rows)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (3, 4)])
+def test_key_held_entries_are_read_off_the_key(p, n):
+    """``m[i, j]`` of a key-held bracket reads slot n i + j of its key and
+    decodes nothing: every bracket over F_2 at n <= 2, every x against four
+    seeded A at F_2 n = 3, and seeded brackets at F_3 n = 4."""
+    field = parse_field(f"F{p}")
+    sp = _packed.space(p, n)
+    if p == 2 and n <= 2:
+        pairs = [(a, x) for a in _all(n, p) for x in _all(n, p)]
+    elif p == 2:
+        pairs = [(a, x) for a in _seeded(n, p, 2, "entries")[3:] for x in _all(n, p)]
+    else:
+        pairs = [(a, x) for a in _seeded(n, p, 3, "entries")
+                 for x in _seeded(n, p, 12, "entry-points")]
+    for a, x in pairs:
+        d = CanonicalDerivation(Matrix._raw(field, a))
+        got = apply_derivation(d, Matrix._raw(field, x))
+        assert got.__class__ is _HeldMatrix and got._sp is sp
+        check_entry_reads(got, sp.unkey(got._key))
 
 
 def test_key_held_brackets_of_other_rings_differ():
