@@ -60,6 +60,14 @@ def _read(cls, path: str, args):
     return obj
 
 
+def _check_out_dir(path: str, option: str) -> None:
+    """Refuse an output file whose directory does not exist, before any
+    work is done."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise UsageError(f"{option} directory {parent} does not exist")
+
+
 # -- handlers ----------------------------------------------------------------
 
 def _cmd_factor(args) -> int:
@@ -141,6 +149,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    if args.out:
+        _check_out_dir(args.out, "--out")
     delta = _read(DeltaMap, args.delta, args)
     result = extend_to_low_ranks(delta, s=args.s)
     if args.out:
@@ -183,6 +193,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.out_prefix:
+        _check_out_dir(f"{args.out_prefix}0.delta", "--out-prefix")
     field = parse_field(args.field)
     dim, basis = solution_space(args.n, args.s, field)
     if args.porcelain:

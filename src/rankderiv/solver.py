@@ -9,6 +9,11 @@ is the space of all maps satisfying the hypothesis, returned as table-backed
 DeltaMaps keyed on the domain's matrices, for end-to-end cross-checking
 against extraction.
 
+The system never holds its equations: its ``rows`` is a sized view that
+makes them again, one coefficient dict at a time, on each pass.  The
+elimination reads each once and keeps only its pivots, so memory is bounded
+by the domain and the pivot block, not by the number of pairs.
+
 The nullspace is found by incremental Gauss-Jordan elimination on the
 coefficient dicts, one routine for every prime.  The pivot block is kept
 fully reduced: each pivot row is 1 at its lead (its highest column) and 0
@@ -46,6 +51,9 @@ __all__ = [
     "rank_count",
 ]
 
+# The guards count with the formula, before anything is enumerated.  The
+# equations are made one at a time as the elimination reads them, so
+# BLOCK_GUARD bounds the time of a build, not its memory.
 UNKNOWN_GUARD = 10 ** 6
 BLOCK_GUARD = 200_000
 COUNT_GUARD = 10 ** 6
@@ -56,15 +64,17 @@ class ConstraintSystem:
     """Sparse homogeneous system over F_q in the entries of delta.
 
     ``domain`` lists the rank <= s matrices in deterministic order; unknown
-    ``idx * n^2 + a * n + b`` is entry (a, b) of delta(domain[idx]).  Each
-    equation row is a coefficient dict.
+    ``idx * n^2 + a * n + b`` is entry (a, b) of delta(domain[idx]).
+    ``rows`` is a sized view of the equations, not a list: each pass over it
+    makes every equation again as a coefficient dict, in the same order, and
+    its length is known without making any.
     """
 
     n: int
     s: int
     field: object
     domain: list
-    rows: list
+    rows: _Equations
 
     @property
     def unknown_count(self) -> int:
@@ -75,8 +85,50 @@ class ConstraintSystem:
         return len(self.rows) // (self.n * self.n)
 
 
+class _Equations:
+    """The n^2 equations of delta(xy) - delta(x) y - x delta(y) = 0 for each
+    ordered pair (x, y) of rank-s matrices, x then y in domain order, entry
+    (a, b) in row-major order."""
+
+    __slots__ = ("domain", "rank_s", "n", "q")
+
+    def __init__(self, domain: RankDomain, rank_s: list, n: int, q: int):
+        self.domain = domain
+        self.rank_s = rank_s
+        self.n = n
+        self.q = q
+
+    def __len__(self):
+        return len(self.rank_s) ** 2 * self.n * self.n
+
+    def __iter__(self):
+        domain, rank_s, n, q = self.domain, self.rank_s, self.n, self.q
+        nn = n * n
+        for i in rank_s:
+            x, ix = domain[i], i * nn
+            for j in rank_s:
+                y, iy = domain[j], j * nn
+                ixy = domain.product(i, j) * nn
+                for a in range(n):
+                    xa = x.rows[a]
+                    for b in range(n):
+                        coeffs = {ixy + a * n + b: 1}
+                        for c in range(n):
+                            ycb = y.rows[c][b]
+                            if ycb:
+                                col = ix + a * n + c
+                                coeffs[col] = (coeffs.get(col, 0) - ycb) % q
+                            xac = xa[c]
+                            if xac:
+                                col = iy + c * n + b
+                                coeffs[col] = (coeffs.get(col, 0) - xac) % q
+                        yield {c: v for c, v in coeffs.items() if v}
+
+
 def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
-    """One block of n^2 equations per ordered pair of rank-s matrices."""
+    """One block of n^2 equations per ordered pair of rank-s matrices, as a
+    view that makes them on each pass (``_Equations``); the guards, the
+    domain and the places of its rank-s matrices are made here."""
     if not field.is_finite:
         raise UsageError("constraint systems require a finite field")
     if not (1 <= s and 2 * s <= n):
@@ -85,29 +137,8 @@ def build_constraint_system(n: int, s: int, field) -> ConstraintSystem:
     guard(rank_total(n, range(s + 1), q) * n * n, UNKNOWN_GUARD, "unknowns", "solver")
     guard(rank_count_formula(n, s, q) ** 2, BLOCK_GUARD, "equation blocks", "solver")
     domain = RankDomain(n, range(s + 1), field)
-    nn = n * n
     rank_s = [i for i, m in enumerate(domain) if m.rank() == s]
-    rows = []
-    for i in rank_s:
-        x, ix = domain[i], i * nn
-        for j in rank_s:
-            y, iy = domain[j], j * nn
-            ixy = domain.product(i, j) * nn
-            for a in range(n):
-                xa = x.rows[a]
-                for b in range(n):
-                    coeffs = {ixy + a * n + b: 1}
-                    for c in range(n):
-                        ycb = y.rows[c][b]
-                        if ycb:
-                            col = ix + a * n + c
-                            coeffs[col] = (coeffs.get(col, 0) - ycb) % q
-                        xac = xa[c]
-                        if xac:
-                            col = iy + c * n + b
-                            coeffs[col] = (coeffs.get(col, 0) - xac) % q
-                    rows.append({c: v for c, v in coeffs.items() if v})
-    return ConstraintSystem(n, s, field, domain.matrices, rows)
+    return ConstraintSystem(n, s, field, domain.matrices, _Equations(domain, rank_s, n, q))
 
 
 def _subtract(row, f, pivot, p):

@@ -511,6 +511,12 @@ CLI_REFUSALS = {
     "sampled-count-zero": (("verify", "--delta", "{y}", "--s", "1", "--mode", "sampled",
                             "--seed", "1", "--count", "0"),
                            UsageError, r"sampled verification needs a count >= 1, got 0"),
+    # refused before the solution space is computed or the table is read
+    "solve-out-dir": (("solve", "--field", "F2", "--n", "2", "--s", "1",
+                       "--out-prefix", "/nonexistent/dir/b"),
+                      UsageError, r"--out-prefix directory /nonexistent/dir does not exist"),
+    "extend-out-dir": (("extend", "--delta", "{y}", "--out", "/nonexistent/dir/e.delta"),
+                       UsageError, r"--out directory /nonexistent/dir does not exist"),
 }
 
 

@@ -139,6 +139,12 @@ MUTANTS = [
     ("solver.py", "        lead = max(row)", "        lead = min(row)",
      "tests/test_solver.py::test_nullspace_matches_dense_kernel "
      "tests/test_solver.py::test_solution_basis_bytes_pinned"),
+    # the streamed equations: their count, and every pass over the pairs
+    ("solver.py", "        return len(self.rank_s) ** 2 * self.n * self.n",
+     "        return len(self.rank_s) ** 2",
+     "tests/test_solver.py::test_system_shape_2_1_f2"),
+    ("solver.py", "        for i in rank_s:", "        for i in rank_s[:-1]:",
+     "tests/test_solver.py::test_equations_match_a_list_reference"),
     ("derivations.py", "            t = fld.gen", "            t = fld.one",
      "tests/test_derivations.py::test_extract_function_field_needs_no_probe"),
     # the generic branch of adapted_factor, which every odd p takes

@@ -63,6 +63,84 @@ def test_system_guard_messages_end_at_the_guard(F3, no_enumeration, n, s, counte
         build_constraint_system(n, s, F3)
 
 
+def _reference_equations(n, s, field):
+    """The equations as the list the system once held, built here from
+    enumeration and ``Matrix`` products alone: pair (x, y) of rank-s
+    matrices in enumeration order, entry (a, b) of
+    delta(xy) - delta(x) y - x delta(y) row-major."""
+    q, nn = field.order, n * n
+    domain = [m for k in range(s + 1) for m in enumerate_rank_k(n, k, field)]
+    place = {m.rows: i for i, m in enumerate(domain)}
+    rank_s = [place[m.rows] for m in enumerate_rank_k(n, s, field)]
+    rows = []
+    for i in rank_s:
+        for j in rank_s:
+            x, y = domain[i], domain[j]
+            ixy = place[(x * y).rows]
+            for a in range(n):
+                for b in range(n):
+                    coeffs = {ixy * nn + a * n + b: 1}
+                    for c in range(n):
+                        for col, v in ((i * nn + a * n + c, y.rows[c][b]),
+                                       (j * nn + c * n + b, x.rows[a][c])):
+                            coeffs[col] = (coeffs.get(col, 0) - v) % q
+                    rows.append({c: v for c, v in coeffs.items() if v})
+    return rows
+
+
+@pytest.mark.parametrize("spec, n", [("F2", 2), ("F3", 2), ("F2", 3)])
+def test_equations_match_a_list_reference(spec, n):
+    """The streamed equations are the reference list, in its order, on every
+    pass, and their length is the count of them."""
+    field = parse_field(spec)
+    system = build_constraint_system(n, 1, field)
+    first = list(system.rows)
+    assert first == _reference_equations(n, 1, field)
+    assert list(system.rows) == first
+    assert len(system.rows) == len(first)
+
+
+def test_equation_count_makes_no_equation(F3, monkeypatch):
+    from rankderiv.matrix import RankDomain
+    system = build_constraint_system(2, 1, F3)
+    calls = []
+    product = RankDomain.product
+    monkeypatch.setattr(RankDomain, "product",
+                        lambda self, i, j: calls.append((i, j)) or product(self, i, j))
+    assert len(system.rows) == 32 * 32 * 4
+    assert system.block_count == 32 * 32
+    assert calls == []
+    next(iter(system.rows))
+    assert calls == [(1, 1)]
+
+
+def test_solution_space_holds_no_equation_list(F2):
+    """Only the domain and the pivot block stay alive: the list of all
+    21,609 equations peaked at 5.7 MiB."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        solution_space(3, 1, F2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+@pytest.mark.slow
+def test_solution_space_memory_f3_3():
+    """F_3 at n = 3 has 1,028,196 equations; holding them took 371 MiB."""
+    import subprocess
+    import sys
+    code = ("import resource\n"
+            "from rankderiv import parse_field, solution_space\n"
+            "assert solution_space(3, 1, parse_field('F3'))[0] == 8\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, check=True)
+    assert int(proc.stdout) < 64 * 1024   # KiB on Linux
+
+
 def test_system_needs_finite_field(Q):
     with pytest.raises(UsageError):
         build_constraint_system(2, 1, Q)
